@@ -48,6 +48,7 @@ __all__ = [
     "CandidateFamily",
     "q_function",
     "pairwise_error_prob",
+    "difference_projection",
     "check_nonzero_condition",
     "extension_collision_prob",
     "ambiguity_recursion",
@@ -112,21 +113,30 @@ def pairwise_error_prob(
     project far enough along the difference direction between the two
     candidate codewords.
     """
+    t = difference_projection(graph, b, flip_set)
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    if graph.m == 0:
+        return 0.5
+    return q_function(math.sqrt(float(np.dot(t, t))) / sigma)
+
+
+def difference_projection(graph: FactorGraph, b: np.ndarray, flip_set: Sequence[int]) -> np.ndarray:
+    """Per-row t_i = sum_{j in flips} b_j g_ij: half the difference between the
+    row sums of b and of b with ``flip_set`` flipped. Noise n favors the
+    competitor exactly when n . t < -t . t, as likely as n . t > t . t."""
     flips = np.unique(np.asarray(flip_set, dtype=np.int64))
     if flips.size == 0:
         raise ValueError("flip set must be non-empty")
     if flips.min() < 0 or flips.max() >= graph.k:
         raise ValueError("flip index out of range")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if graph.m == 0:
+        return np.zeros(0)
     b = np.asarray(b, dtype=np.float64)
     mask = np.zeros(graph.k)
     mask[flips] = 1.0
     contrib = graph.weights * b[graph.indices] * mask[graph.indices]
-    if graph.m == 0:
-        return 0.5
-    t = np.add.reduceat(contrib, graph.indptr[:-1])
-    return q_function(math.sqrt(float(np.dot(t, t))) / sigma)
+    return np.add.reduceat(contrib, graph.indptr[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from .analysis import (
     WeightSearchError,
     ambiguity_recursion,
     check_nonzero_condition,
+    difference_projection,
     gaussian_fit_check,
     pairwise_error_prob,
     search_weight_set,
@@ -28,6 +30,7 @@ from .core import (
     zero_sum_row_template,
 )
 from .harness import (
+    ExperimentConfig,
     config_from_mapping,
     parse_config_file,
     resolve_weight_set,
@@ -55,21 +58,13 @@ def _sweep_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gnuplot", action="store_const", const=True, default=None)
 
 
-def _build_config(args: argparse.Namespace, extra: dict):
-    mapping: dict = {}
-    if args.config:
-        mapping.update(parse_config_file(args.config))
-    cfg = config_from_mapping(mapping)
-    overrides = {
-        k: getattr(args, k, None)
-        for k in (
-            "seed", "out", "trials", "noiseless", "k_msg", "snr_db", "precode_rate",
-            "weight_set", "assignment", "per_complex_noise", "max_iters", "damping",
-            "gnuplot",
-        )
-    }
-    overrides.update(extra)
-    return config_from_mapping(overrides, base=cfg)
+def _build_config(args: argparse.Namespace) -> ExperimentConfig:
+    """Config file values, overridden by every flag named after a config field."""
+    mapping = parse_config_file(args.config) if args.config else {}
+    for f in fields(ExperimentConfig):
+        if getattr(args, f.name, None) is not None:
+            mapping[f.name] = getattr(args, f.name)
+    return config_from_mapping(mapping)
 
 
 def _parse_weights(text: str):
@@ -133,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "ber-sweep":
-        cfg = _build_config(args, {"rates": args.rates, "variants": args.variants})
+        cfg = _build_config(args)
         results = run_ber_sweep(cfg)
         for res in results:
             for pt in res.points:
@@ -145,8 +140,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "throughput-sweep":
-        cfg = _build_config(args, {})
-        res = run_throughput_sweep(cfg, args.target_ber)
+        res = run_throughput_sweep(_build_config(args))
         for pt in res.points:
             status = "" if pt.reached else " (unreached)"
             print(
@@ -209,11 +203,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"pairwise error probability (closed form): {p:.6e}")
         if args.mc_draws:
             noise_rng = rngmod.substream(args.seed, rngmod.NOISE)
-            t = np.zeros(graph.m)
-            mask = np.zeros(args.k)
-            mask[flips] = 1.0
-            contrib = graph.weights * b[graph.indices] * mask[graph.indices]
-            t = np.add.reduceat(contrib, graph.indptr[:-1])
+            t = difference_projection(graph, b, flips)
             wins = 0
             thresh = float(np.dot(t, t))
             for _ in range(args.mc_draws):

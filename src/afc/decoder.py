@@ -5,18 +5,23 @@ sign configurations of its neighbors against the Gaussian likelihood
 exp(-(u_i - sum_j g_ij b_j)^2 / (2 sigma^2)), so no Gaussian message
 approximation is involved. All likelihood products run in the log domain
 with max subtraction; cost per row per iteration is O(2^d * d), which is
-cheap for the flagship degree 8 (256 configurations).
+cheap for the flagship degree 8 (256 configurations). Degrees above 14 are
+refused.
+
+One flooding loop serves both entry points: ``bp_decode`` runs the fountain
+rows alone, ``bp_decode_joint`` runs them together with the parity checks of
+an outer LDPC code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
 from .core import FactorGraph
+from .precoder import ldpc_decode, syndrome_ok, tanh_rule_messages
 
 __all__ = [
     "UnsupportedDegreeError",
@@ -29,8 +34,7 @@ __all__ = [
     "decode_with_precode",
 ]
 
-MAX_ENUM_DEGREE = 20
-_BATCH_DEGREE = 14  # larger degrees fall back to per-row streaming
+MAX_ENUM_DEGREE = 14
 # The underflow floor saturates log ratios near +/-690, so any message clip
 # at or below 300 guarantees a fully underflowed side still outweighs the
 # subtracted incoming message: extrinsic subtraction cannot flip a saturated
@@ -96,20 +100,6 @@ def _sign_matrix(d: int) -> np.ndarray:
     return signs
 
 
-@lru_cache(maxsize=32)
-def _plus_mask(d: int) -> np.ndarray:
-    mask = (_sign_matrix(d) > 0).astype(np.float64)
-    mask.setflags(write=False)
-    return mask
-
-
-@lru_cache(maxsize=32)
-def _minus_mask(d: int) -> np.ndarray:
-    mask = (_sign_matrix(d) < 0).astype(np.float64)
-    mask.setflags(write=False)
-    return mask
-
-
 def check_to_var_messages(
     weights: np.ndarray,
     u_i: float,
@@ -122,11 +112,11 @@ def check_to_var_messages(
     incoming[t] is the variable-to-check LLR on edge t. The outgoing LLR on
     edge t marginalizes the 2^(d-1) configurations of the other neighbors,
     weighting each by the Gaussian likelihood of u_i and the priors carried
-    by the incoming messages. Messages saturate at +/-clip.
+    by the incoming messages. Messages saturate at +/-clip. This is one
+    undamped update of the kernel BP runs on whole row groups.
     """
     w = np.asarray(weights, dtype=np.float64)
-    clip = min(float(clip), _MAX_CLIP)
-    lam = np.clip(np.asarray(incoming, dtype=np.float64), -clip, clip)
+    lam = np.asarray(incoming, dtype=np.float64)
     d = len(w)
     if d < 1 or d > MAX_ENUM_DEGREE:
         raise UnsupportedDegreeError(f"degree {d} outside [1, {MAX_ENUM_DEGREE}]")
@@ -134,49 +124,33 @@ def check_to_var_messages(
         raise ValueError("incoming message count must match row degree")
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-
-    n_cfg = 1 << d
-    block = min(n_cfg, 1 << _BATCH_DEGREE)
-    # pass 1: global max of the config log-weights
-    m_global = -np.inf
-    for start in range(0, n_cfg, block):
-        base = _config_logweights(w, u_i, sigma2, lam, start, min(start + block, n_cfg), d)
-        m_global = max(m_global, float(base.max()))
-    # pass 2: accumulate exp sums split by the sign of each edge
-    pos = np.zeros(d)
-    neg = np.zeros(d)
-    for start in range(0, n_cfg, block):
-        stop = min(start + block, n_cfg)
-        base = _config_logweights(w, u_i, sigma2, lam, start, stop, d)
-        ex = np.exp(base - m_global)
-        bits = ((np.arange(start, stop, dtype=np.int64)[:, None] >> np.arange(d)) & 1) == 0
-        pos += ex @ bits
-        neg += ex @ (~bits)
-    out = np.log(np.maximum(pos, _TINY)) - np.log(np.maximum(neg, _TINY)) - lam
-    return np.clip(out, -clip, clip)
+    row = _RowGroup(np.arange(d)[None, :], w[None, :], np.array([float(u_i)]), sigma2)
+    row.update(lam, 0.0, min(float(clip), _MAX_CLIP))
+    return row.c_msg[0]
 
 
-def _config_logweights(w, u_i, sigma2, lam, start, stop, d) -> np.ndarray:
-    cfgs = np.arange(start, stop, dtype=np.int64)
-    signs = np.where(((cfgs[:, None] >> np.arange(d)) & 1) == 0, 1.0, -1.0)
-    sums = signs @ w
-    return -((u_i - sums) ** 2) / (2.0 * sigma2) + signs @ (lam * 0.5)
+def _damped(old: np.ndarray, new: np.ndarray, damping: float) -> np.ndarray:
+    return damping * old + (1.0 - damping) * new if damping > 0.0 else new
 
 
 class _RowGroup:
-    """Rows of one degree batched into dense index/weight matrices."""
+    """Fountain rows of one degree batched into dense index/weight matrices."""
 
-    def __init__(self, graph: FactorGraph, rows: np.ndarray, d: int, u: np.ndarray, sigma2: float):
+    def __init__(self, idx: np.ndarray, w: np.ndarray, u_rows: np.ndarray, sigma2: float):
+        signs = _sign_matrix(idx.shape[1])  # (2^d, d)
+        self.idx = idx
+        self.signs_t = signs.T.copy()
+        self.plus = (signs > 0).astype(np.float64)
+        self.minus = (signs < 0).astype(np.float64)
+        sums = w @ self.signs_t
+        self.resid = -((u_rows[:, None] - sums) ** 2) / (2.0 * sigma2)
+        self.c_msg = np.zeros_like(w)
+
+    @classmethod
+    def of_degree(cls, graph: FactorGraph, d: int, u: np.ndarray, sigma2: float) -> "_RowGroup":
+        rows = np.nonzero(graph.row_degrees() == d)[0]
         offs = graph.indptr[rows][:, None] + np.arange(d)
-        self.d = d
-        self.idx = graph.indices[offs]
-        self.w = graph.weights[offs].astype(np.float64)
-        self.signs_t = _sign_matrix(d).T.copy()  # (d, 2^d)
-        self.plus = _plus_mask(d)  # (2^d, d)
-        self.minus = _minus_mask(d)
-        sums = self.w @ self.signs_t
-        self.resid = -((u[rows][:, None] - sums) ** 2) / (2.0 * sigma2)
-        self.c_msg = np.zeros_like(self.w)
+        return cls(graph.indices[offs], graph.weights[offs].astype(np.float64), u[rows], sigma2)
 
     def update(self, belief: np.ndarray, damping: float, clip: float) -> None:
         v = np.clip(belief[self.idx] - self.c_msg, -clip, clip)
@@ -192,36 +166,80 @@ class _RowGroup:
         out -= np.log(neg)
         out -= v
         np.clip(out, -clip, clip, out=out)
-        if damping > 0.0:
-            self.c_msg *= damping
-            self.c_msg += (1.0 - damping) * out
-        else:
-            self.c_msg = out
+        self.c_msg = _damped(self.c_msg, out, damping)
 
     def accumulate(self, belief: np.ndarray) -> None:
         belief += np.bincount(self.idx.ravel(), weights=self.c_msg.ravel(), minlength=len(belief))
 
 
-class _StreamRows:
-    """Fallback for degrees beyond the batchable bound: per-row enumeration."""
+class _OuterChecks:
+    """Parity checks of the outer code, updated by the tanh rule."""
 
-    def __init__(self, graph: FactorGraph, rows: np.ndarray, u: np.ndarray, sigma2: float):
-        self.rows = [(graph.row(int(r))[0], graph.row(int(r))[1], float(u[r])) for r in rows]
-        self.sigma2 = sigma2
-        self.c_msg = [np.zeros(len(r[0])) for r in self.rows]
+    def __init__(self, code):
+        self.code = code
+        self.c_msg = np.zeros(len(code.edge_var))
 
     def update(self, belief: np.ndarray, damping: float, clip: float) -> None:
-        for i, (idx, w, ui) in enumerate(self.rows):
-            v = belief[idx] - self.c_msg[i]
-            out = check_to_var_messages(w, ui, self.sigma2, v, clip=clip)
-            if damping > 0.0:
-                self.c_msg[i] = damping * self.c_msg[i] + (1.0 - damping) * out
-            else:
-                self.c_msg[i] = out
+        v = np.clip(belief[self.code.edge_var] - self.c_msg, -clip, clip)
+        self.c_msg = _damped(self.c_msg, tanh_rule_messages(self.code, v), damping)
 
     def accumulate(self, belief: np.ndarray) -> None:
-        for (idx, _, _), c in zip(self.rows, self.c_msg):
-            np.add.at(belief, idx, c)
+        belief += np.bincount(self.code.edge_var, weights=self.c_msg, minlength=len(belief))
+
+
+def _check_inputs(graph: FactorGraph, u, sigma2: float) -> np.ndarray:
+    """The observation as float64 once it and sigma2 fit the graph."""
+    u = np.asarray(u, dtype=np.float64)
+    if u.shape != (graph.m,):
+        raise ValueError(f"observation length {u.shape} does not match rows {graph.m}")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("non-finite observation")
+    if not (np.isfinite(sigma2) and sigma2 > 0):
+        raise ValueError("sigma2 must be positive and finite")
+    d_max = int(graph.row_degrees().max(initial=0))
+    if d_max > MAX_ENUM_DEGREE:
+        raise UnsupportedDegreeError(f"row degree {d_max} exceeds enumeration bound {MAX_ENUM_DEGREE}")
+    return u
+
+
+def _bp(
+    graph: FactorGraph, u: np.ndarray, sigma2: float, cfg: DecoderConfig, prior: np.ndarray, code
+) -> LlrVector:
+    """The flooding loop: every check group updates against the same beliefs,
+    then the beliefs are rebuilt as prior plus all check messages.
+
+    Stops on a satisfied outer syndrome (with a code and
+    ``stop_on_precode_valid``), on hard decisions unchanged for 2 straight
+    iterations (4 with a code), or on a belief change below
+    ``convergence_eps``.
+    """
+    groups: list = [] if code is None else [_OuterChecks(code)]
+    groups += [_RowGroup.of_degree(graph, int(d), u, sigma2) for d in np.unique(graph.row_degrees())]
+    stable_run = 2 if code is None else 4
+    belief = prior
+    prev_bits: np.ndarray | None = None
+    stable = 0
+    for iterations in range(1, cfg.max_iters + 1):
+        for g in groups:
+            g.update(belief, cfg.damping, cfg.llr_clip)
+        prev_belief, belief = belief, prior.copy()
+        for g in groups:
+            g.accumulate(belief)
+        bits = (belief < 0).astype(np.uint8)
+        if code is not None and cfg.stop_on_precode_valid and syndrome_ok(code, bits):
+            break
+        if cfg.stop_on_stable_decisions:
+            if prev_bits is not None and np.array_equal(bits, prev_bits):
+                stable += 1
+                if stable >= stable_run:
+                    break
+            else:
+                stable = 0
+        if cfg.convergence_eps > 0 and iterations > 1:
+            if float(np.max(np.abs(belief - prev_belief))) < cfg.convergence_eps:
+                break
+        prev_bits = bits
+    return LlrVector(llr=belief, iterations=iterations)
 
 
 def bp_decode(
@@ -230,68 +248,18 @@ def bp_decode(
     sigma2: float,
     cfg: DecoderConfig | None = None,
     prior: np.ndarray | None = None,
-    stop_check: Callable[[np.ndarray], bool] | None = None,
 ) -> LlrVector:
-    """Flooding-schedule BP returning posterior LLRs for every variable.
+    """Flooding-schedule BP over the fountain rows, returning posterior LLRs
+    for every variable.
 
-    ``prior`` supplies per-variable input LLRs (zeros when absent); it is the
-    hook the precode loop uses. ``stop_check`` sees the current hard decisions
-    (+/-1) after every iteration and may stop the decoder early. Deterministic
-    given its inputs.
+    ``prior`` supplies per-variable input LLRs (zeros when absent).
+    Deterministic given its inputs.
     """
-    cfg = cfg or DecoderConfig()
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (graph.m,):
-        raise ValueError(f"observation length {u.shape} does not match rows {graph.m}")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("non-finite observation")
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-    degrees = graph.row_degrees()
-    if graph.m and int(degrees.max()) > MAX_ENUM_DEGREE:
-        raise UnsupportedDegreeError(
-            f"row degree {int(degrees.max())} exceeds enumeration bound {MAX_ENUM_DEGREE}"
-        )
-    prior = np.zeros(graph.k) if prior is None else np.asarray(prior, dtype=np.float64).copy()
+    u = _check_inputs(graph, u, sigma2)
+    prior = np.zeros(graph.k) if prior is None else np.asarray(prior, dtype=np.float64)
     if prior.shape != (graph.k,):
         raise ValueError("prior length must equal k")
-
-    groups: list = []
-    for d in np.unique(degrees) if graph.m else []:
-        rows = np.nonzero(degrees == d)[0]
-        if d <= _BATCH_DEGREE:
-            groups.append(_RowGroup(graph, rows, int(d), u, sigma2))
-        else:
-            groups.append(_StreamRows(graph, rows, u, sigma2))
-
-    belief = prior.copy()
-    prev_hard: np.ndarray | None = None
-    prev_belief: np.ndarray | None = None
-    stable = 0
-    iterations = 0
-    for it in range(cfg.max_iters):
-        for g in groups:
-            g.update(belief, cfg.damping, cfg.llr_clip)
-        belief = prior.copy()
-        for g in groups:
-            g.accumulate(belief)
-        iterations = it + 1
-        hard = np.where(belief >= 0, 1.0, -1.0)
-        if stop_check is not None and stop_check(hard):
-            break
-        if cfg.stop_on_stable_decisions:
-            if prev_hard is not None and np.array_equal(hard, prev_hard):
-                stable += 1
-                if stable >= 2:
-                    break
-            else:
-                stable = 0
-        if cfg.convergence_eps > 0 and prev_belief is not None:
-            if float(np.max(np.abs(belief - prev_belief))) < cfg.convergence_eps:
-                break
-        prev_hard = hard
-        prev_belief = belief
-    return LlrVector(llr=belief, iterations=iterations)
+    return _bp(graph, u, sigma2, cfg or DecoderConfig(), prior, None)
 
 
 def ml_decode_bruteforce(graph: FactorGraph, u: np.ndarray) -> np.ndarray:
@@ -326,6 +294,8 @@ def ml_decode_bruteforce(graph: FactorGraph, u: np.ndarray) -> np.ndarray:
     return best
 
 
+
+
 def bp_decode_joint(
     graph: FactorGraph,
     u: np.ndarray,
@@ -338,62 +308,13 @@ def bp_decode_joint(
     Both kinds of check nodes update every iteration against the shared
     variable beliefs. The hard parity constraints resolve variables the
     analog rows leave ambiguous, which is what lets the system run close
-    to capacity instead of stalling at the per-bit marginal limit of the
-    pipelined split. Stops once the outer syndrome is satisfied (when
-    ``cfg.stop_on_precode_valid``) or decisions stay stable.
+    to capacity instead of stalling at the per-bit marginal limit of
+    decoding the two codes one after the other.
     """
-    from .precoder import syndrome_ok, tanh_rule_messages
-
-    cfg = cfg or DecoderConfig()
     if code.n != graph.k:
         raise ValueError(f"outer codeword length {code.n} != graph variables {graph.k}")
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (graph.m,):
-        raise ValueError("observation length mismatch")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("non-finite observation")
-    degrees = graph.row_degrees()
-    if graph.m and int(degrees.max()) > MAX_ENUM_DEGREE:
-        raise UnsupportedDegreeError("row degree exceeds enumeration bound")
-
-    groups: list = []
-    for d in np.unique(degrees) if graph.m else []:
-        rows = np.nonzero(degrees == d)[0]
-        if d <= _BATCH_DEGREE:
-            groups.append(_RowGroup(graph, rows, int(d), u, sigma2))
-        else:
-            groups.append(_StreamRows(graph, rows, u, sigma2))
-
-    c_outer = np.zeros(len(code.edge_var))
-    belief = np.zeros(graph.k)
-    prev_hard: np.ndarray | None = None
-    stable = 0
-    iterations = 0
-    for it in range(cfg.max_iters):
-        for g in groups:
-            g.update(belief, cfg.damping, cfg.llr_clip)
-        v = np.clip(belief[code.edge_var] - c_outer, -cfg.llr_clip, cfg.llr_clip)
-        new_c = tanh_rule_messages(code, v)
-        if cfg.damping > 0.0:
-            c_outer = cfg.damping * c_outer + (1.0 - cfg.damping) * new_c
-        else:
-            c_outer = new_c
-        belief = np.bincount(code.edge_var, weights=c_outer, minlength=graph.k)
-        for g in groups:
-            g.accumulate(belief)
-        iterations = it + 1
-        hard_bits = (belief < 0).astype(np.uint8)
-        if cfg.stop_on_precode_valid and syndrome_ok(code, hard_bits):
-            break
-        if cfg.stop_on_stable_decisions:
-            if prev_hard is not None and np.array_equal(hard_bits, prev_hard):
-                stable += 1
-                if stable >= 4:
-                    break
-            else:
-                stable = 0
-        prev_hard = hard_bits
-    return LlrVector(llr=belief, iterations=iterations)
+    u = _check_inputs(graph, u, sigma2)
+    return _bp(graph, u, sigma2, cfg or DecoderConfig(), np.zeros(graph.k), code)
 
 
 def decode_with_precode(
@@ -403,39 +324,9 @@ def decode_with_precode(
     cfg: DecoderConfig,
     code,
     ldpc_iters: int = 50,
-    joint_rounds: int = 0,
-    interleave: bool = False,
-):
-    """Recover message bits through the outer high-rate code.
-
-    Default is the pipelined pass: BP over the fountain graph (whose k
-    variables are the outer codeword bits), then the outer decoder.
-    ``joint_rounds`` > 0 feeds outer extrinsics back as priors for further
-    fountain BP rounds. ``interleave=True`` instead runs the fully combined
-    schedule of ``bp_decode_joint``, which is the high-throughput
-    configuration the experiment harness uses.
-    """
-    from .precoder import ldpc_decode, ldpc_posterior, syndrome_ok
-
-    if code.n != graph.k:
-        raise ValueError(f"outer codeword length {code.n} != graph variables {graph.k}")
-
-    if interleave:
-        result = bp_decode_joint(graph, u, sigma2, code, cfg)
-        bits, _converged = ldpc_decode(code, result.llr, ldpc_iters)
-        return bits
-
-    stop = None
-    if cfg.stop_on_precode_valid:
-        def stop(hard: np.ndarray) -> bool:
-            return syndrome_ok(code, (hard < 0).astype(np.uint8))
-
-    result = bp_decode(graph, u, sigma2, cfg, stop_check=stop)
-    llr = result.llr
-    for _ in range(joint_rounds):
-        posterior = ldpc_posterior(code, llr, ldpc_iters)
-        extrinsic = posterior - llr
-        result = bp_decode(graph, u, sigma2, cfg, prior=extrinsic, stop_check=stop)
-        llr = result.llr
-    bits, _converged = ldpc_decode(code, llr, ldpc_iters)
+) -> np.ndarray:
+    """Message bits through the outer high-rate code: ``bp_decode_joint``,
+    then the outer decoder on its posterior LLRs."""
+    result = bp_decode_joint(graph, u, sigma2, code, cfg)
+    bits, _converged = ldpc_decode(code, result.llr, ldpc_iters)
     return bits

@@ -10,6 +10,7 @@ a sweep never disturbs completed points.
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
@@ -30,7 +31,7 @@ from .core import (
     power_scale,
     reciprocal_prime_weights,
 )
-from .decoder import DecoderConfig, bp_decode, bp_decode_joint
+from .decoder import MAX_ENUM_DEGREE, DecoderConfig, bp_decode, bp_decode_joint
 from .precoder import LdpcCode, ldpc_decode, ldpc_encode, ldpc_generate
 
 __all__ = [
@@ -74,13 +75,16 @@ class ExperimentConfig:
     gnuplot: bool = False
     max_iters: int = 150
     damping: float = 0.5
-    interleave: bool = True
     ldpc_var_degree: int = 3
     min_error_events: int = 50
     max_trial_factor: int = 10
     n_budget_factor: int = 8
 
     def __post_init__(self) -> None:
+        if self.k_msg < 1:
+            raise ValueError("k_msg must be >= 1")
+        if not 0.0 < self.precode_rate < 1.0:
+            raise ValueError("precode_rate must lie in (0, 1)")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.rates is not None and any(b <= a for a, b in zip(self.rates, self.rates[1:])):
@@ -90,6 +94,15 @@ class ExperimentConfig:
                 raise ValueError(f"unknown variant {v!r}")
         if not 0.0 < self.target_ber < 1.0:
             raise ValueError("target_ber must lie in (0, 1)")
+        assignment = WeightAssignment(self.assignment)  # ValueError for an unknown name
+        if not 1 <= self.degree <= MAX_ENUM_DEGREE:
+            raise ValueError(f"degree must lie in [1, {MAX_ENUM_DEGREE}]")
+        f = resolve_weight_set(self.weight_set).f
+        whole_set = (WeightAssignment.PERMUTATION_OF_SET, WeightAssignment.BALANCED_PERMUTATION)
+        if assignment in whole_set and self.degree != f:
+            raise ValueError(f"{self.assignment} assignment needs degree == weight set size {f}")
+        if assignment is WeightAssignment.WITHOUT_REPLACEMENT and self.degree > f:
+            raise ValueError(f"degree exceeds weight set size {f} for draw without replacement")
 
 
 @dataclass
@@ -191,10 +204,7 @@ def _run_frame(
     u_eff = observed / setup.scale
 
     if setup.code is not None:
-        if cfg.interleave:
-            result = bp_decode_joint(graph, u_eff, sigma2_eff, setup.code, setup.dec_cfg)
-        else:
-            result = bp_decode(graph, u_eff, sigma2_eff, setup.dec_cfg)
+        result = bp_decode_joint(graph, u_eff, sigma2_eff, setup.code, setup.dec_cfg)
         bits, _ = ldpc_decode(setup.code, result.llr)
         errors = int(np.sum(bits != msg))
     else:
@@ -406,40 +416,30 @@ def parse_config_file(path) -> dict:
     return out
 
 
-_BOOL_KEYS = {"noiseless", "per_complex_noise", "gnuplot", "interleave"}
-_INT_KEYS = {
-    "k_msg", "degree", "trials", "seed", "max_iters", "ldpc_var_degree",
-    "min_error_events", "max_trial_factor", "n_budget_factor",
-}
-_FLOAT_KEYS = {"precode_rate", "target_ber", "damping"}
-_TUPLE_FLOAT_KEYS = {"snr_db", "rates"}
+def _parse_value(hint, value):
+    """A config value of type ``hint`` from its string form; values that
+    already carry their type (CLI flags) pass through the same rules."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        hint = next(a for a in args if a is not type(None))
+        args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        items = value if isinstance(value, (tuple, list)) else str(value).split(",")
+        return tuple(_parse_value(args[0], x.strip() if isinstance(x, str) else x) for x in items)
+    if hint is bool:
+        return value if isinstance(value, bool) else str(value).lower() in ("1", "true", "yes", "on")
+    return hint(value)
 
 
 def config_from_mapping(mapping: dict, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Build a config from string values (file or CLI), overriding ``base``."""
-    cfg = base or ExperimentConfig()
+    """Build a config from string values (file or CLI), overriding ``base``.
+
+    Keys and their types come from the fields of ``ExperimentConfig``."""
+    hints = typing.get_type_hints(ExperimentConfig)
     kwargs = {}
     for key, value in mapping.items():
-        if value is None:
-            continue
-        if key in _BOOL_KEYS:
-            kwargs[key] = value if isinstance(value, bool) else value.lower() in ("1", "true", "yes", "on")
-        elif key in _INT_KEYS:
-            kwargs[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = float(value)
-        elif key in _TUPLE_FLOAT_KEYS:
-            if isinstance(value, (tuple, list)):
-                kwargs[key] = tuple(float(x) for x in value)
-            else:
-                kwargs[key] = tuple(float(x) for x in str(value).split(","))
-        elif key == "variants":
-            if isinstance(value, (tuple, list)):
-                kwargs[key] = tuple(value)
-            else:
-                kwargs[key] = tuple(s.strip() for s in str(value).split(","))
-        elif key in ("weight_set", "assignment", "out"):
-            kwargs[key] = str(value)
-        else:
+        if key not in hints:
             raise ValueError(f"unknown config key {key!r}")
-    return replace(cfg, **kwargs)
+        if value is not None:
+            kwargs[key] = _parse_value(hints[key], value)
+    return replace(base or ExperimentConfig(), **kwargs)

@@ -27,7 +27,7 @@ from afc.decoder import (
     decode_with_precode,
     ml_decode_bruteforce,
 )
-from afc.precoder import ldpc_encode, ldpc_generate
+from afc.precoder import LdpcCode, ldpc_encode, ldpc_generate
 from afc.rng import substream
 
 RECIP = reciprocal_prime_weights()
@@ -272,9 +272,7 @@ class TestPrecodeDecode:
 
     def test_interleaved_matches_noiseless(self):
         g, msg, b = self.frame(2, 220)
-        bits = decode_with_precode(
-            g, encode(g, b), 1e-12, DecoderConfig(), self.code, interleave=True
-        )
+        bits = decode_with_precode(g, encode(g, b), 1e-12, DecoderConfig(), self.code)
         assert np.array_equal(bits, msg)
 
     def test_joint_returns_iterations(self):
@@ -287,6 +285,44 @@ class TestPrecodeDecode:
         g = build_graph(64, 32, D8, RECIP, PERM, substream(33, 1))
         with pytest.raises(ValueError):
             decode_with_precode(g, np.zeros(32), 1.0, DecoderConfig(), self.code)
+
+
+def _decode_plain(g, u, sigma2):
+    return bp_decode(g, u, sigma2)
+
+
+def _decode_joint(g, u, sigma2):
+    # a single all-variable parity check, so the code fits any graph
+    code = LdpcCode(g.k, g.k - 1, [np.arange(g.k)], np.ones((1, g.k - 1), dtype=np.uint8))
+    return bp_decode_joint(g, u, sigma2, code)
+
+
+@pytest.mark.parametrize("decode", [_decode_plain, _decode_joint], ids=["bp_decode", "bp_decode_joint"])
+class TestEntryPointInputs:
+    """Both decoder entry points refuse the same bad inputs."""
+
+    def test_wrong_length(self, decode):
+        with pytest.raises(ValueError):
+            decode(chain_graph(4), np.zeros(2), 1.0)
+
+    def test_non_finite_observation(self, decode):
+        with pytest.raises(ValueError):
+            decode(chain_graph(4), np.array([np.nan, 0.0, 0.0]), 1.0)
+
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0])
+    def test_non_positive_sigma2(self, decode, sigma2):
+        with pytest.raises(ValueError):
+            decode(chain_graph(4), np.zeros(3), sigma2)
+
+    def test_degree_above_cap(self, decode):
+        g = FactorGraph(
+            k=15,
+            indptr=np.array([0, 15], dtype=np.int64),
+            indices=np.arange(15, dtype=np.int64),
+            weights=np.ones(15),
+        )
+        with pytest.raises(UnsupportedDegreeError):
+            decode(g, np.zeros(1), 1.0)
 
 
 class TestLlrVector:

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,59 @@ class TestConfig:
     def test_unknown_key(self):
         with pytest.raises(ValueError):
             config_from_mapping({"frobnicate": "1"})
+
+    def test_every_field_parses_from_its_string_form(self):
+        # one non-default value per field, written as a config file would
+        samples = {
+            "k_msg": ("321", 321),
+            "precode_rate": ("0.9", 0.9),
+            "degree": ("5", 5),
+            "weight_set": ("1/2,1/3,1/5", "1/2,1/3,1/5"),
+            "assignment": ("with-replacement", "with-replacement"),
+            "variants": ("uniform, min-degree", ("uniform", "min-degree")),
+            "snr_db": ("5,12.5", (5.0, 12.5)),
+            "rates": ("1.5,2.25", (1.5, 2.25)),
+            "target_ber": ("0.001", 0.001),
+            "trials": ("7", 7),
+            "seed": ("42", 42),
+            "out": ("x.csv", "x.csv"),
+            "noiseless": ("true", True),
+            "per_complex_noise": ("yes", True),
+            "gnuplot": ("on", True),
+            "max_iters": ("77", 77),
+            "damping": ("0.25", 0.25),
+            "ldpc_var_degree": ("4", 4),
+            "min_error_events": ("12", 12),
+            "max_trial_factor": ("3", 3),
+            "n_budget_factor": ("6", 6),
+        }
+        assert set(samples) == {f.name for f in fields(ExperimentConfig)}
+        default = ExperimentConfig()
+        cfg = config_from_mapping({key: text for key, (text, _) in samples.items()})
+        for key, (_, value) in samples.items():
+            assert getattr(cfg, key) == value != getattr(default, key), key
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"k_msg": 0},
+            {"precode_rate": 0.0},
+            {"precode_rate": 1.5},
+            {"assignment": "bogus"},
+            {"degree": 6},
+            {"degree": 9, "assignment": "permutation"},
+            {"degree": 9, "assignment": "without-replacement"},
+            {"degree": 15, "assignment": "with-replacement"},
+            {"degree": 0, "assignment": "with-replacement"},
+        ],
+        ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_bad_config_fails_at_construction(self, bad):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
+
+    def test_without_replacement_allows_smaller_degree(self):
+        assert ExperimentConfig(degree=5, assignment="without-replacement").degree == 5
 
     def test_resolve_weight_set(self):
         ws = resolve_weight_set("1/2,1/4")
