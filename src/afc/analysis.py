@@ -130,13 +130,10 @@ def difference_projection(graph: FactorGraph, b: np.ndarray, flip_set: Sequence[
         raise ValueError("flip set must be non-empty")
     if flips.min() < 0 or flips.max() >= graph.k:
         raise ValueError("flip index out of range")
-    if graph.m == 0:
-        return np.zeros(0)
     b = np.asarray(b, dtype=np.float64)
     mask = np.zeros(graph.k)
     mask[flips] = 1.0
-    contrib = graph.weights * b[graph.indices] * mask[graph.indices]
-    return np.add.reduceat(contrib, graph.indptr[:-1])
+    return graph.row_sums(graph.weights * b[graph.indices] * mask[graph.indices])
 
 
 # ---------------------------------------------------------------------------

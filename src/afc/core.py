@@ -207,6 +207,15 @@ class FactorGraph:
     def row_degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
+    def row_sums(self, edge_values: np.ndarray) -> np.ndarray:
+        """Per-row sums of values given per edge; an empty row sums to 0."""
+        out = np.zeros(self.m)
+        starts = self.indptr[:-1]
+        full = self.indptr[1:] > starts
+        if full.any():  # reduceat would give an empty row the next row's first value
+            out[full] = np.add.reduceat(edge_values, starts[full])
+        return out
+
     def dense(self) -> np.ndarray:
         """Dense m-by-k generator matrix (small instances only)."""
         g = np.zeros((self.m, self.k))
@@ -284,15 +293,15 @@ class _MinDegreePools:
     _BLOCK = 4096
 
     def __init__(self, k: int, rng: np.random.Generator) -> None:
-        self.low = list(rng.permutation(k))
+        self.low: list[int] = rng.permutation(k).tolist()
         self.high: list[int] = []
         self.rng = rng
-        self._uniforms = rng.random(self._BLOCK)
+        self._uniforms: list[float] = rng.random(self._BLOCK).tolist()
         self._cursor = 0
 
     def _pop(self, pool: list[int]) -> int:
         if self._cursor == self._BLOCK:
-            self._uniforms = self.rng.random(self._BLOCK)
+            self._uniforms = self.rng.random(self._BLOCK).tolist()
             self._cursor = 0
         j = int(self._uniforms[self._cursor] * len(pool))
         self._cursor += 1
@@ -318,13 +327,10 @@ class _MinDegreePools:
 
 def _select_min_degree(k: int, degrees: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     pools = _MinDegreePools(k, rng)
-    out = np.empty(int(degrees.sum()), dtype=np.int64)
-    pos = 0
-    for d in degrees:
-        row = pools.take_row(int(d))
-        out[pos : pos + int(d)] = row
-        pos += int(d)
-    return out
+    out: list[int] = []
+    for d in degrees.tolist():
+        out += pools.take_row(d)
+    return np.array(out, dtype=np.int64)
 
 
 def _assign_weights(
@@ -374,20 +380,17 @@ def _assign_balanced(
     f = ws.f
     if not np.all(degrees == f):
         raise InvalidConfigurationError("balanced permutation requires degree == set size")
-    desc = np.sort(ws.as_array())[::-1]
-    strength = np.zeros(k)
-    out = np.empty(len(indices))
-    pos = 0
-    for d in degrees:
-        d = int(d)
-        idx = indices[pos : pos + d]
-        order = np.argsort(strength[idx], kind="stable")  # weakest variable first
-        row = np.empty(d)
-        row[order] = desc  # weakest gets the largest magnitude
-        out[pos : pos + d] = row
-        strength[idx] += row * row
-        pos += d
-    return out
+    desc = sorted(ws.values, reverse=True)
+    strength = [0.0] * k
+    flat = indices.tolist()
+    out = [0.0] * len(flat)
+    for pos in range(0, len(flat), f):
+        idx = flat[pos : pos + f]
+        order = sorted(range(f), key=lambda t: strength[idx[t]])  # stable: weakest variable first
+        for t, w in zip(order, desc):  # weakest gets the largest magnitude
+            out[pos + t] = w
+            strength[idx[t]] += w * w
+    return np.array(out, dtype=np.float64)
 
 
 def build_graph(
@@ -422,10 +425,7 @@ def encode(graph: FactorGraph, bpsk: np.ndarray) -> np.ndarray:
     b = np.asarray(bpsk, dtype=np.float64)
     if b.shape != (graph.k,):
         raise ValueError(f"input length {b.shape} does not match k={graph.k}")
-    if graph.m == 0:
-        return np.zeros(0)
-    prod = graph.weights * b[graph.indices]
-    return np.add.reduceat(prod, graph.indptr[:-1])
+    return graph.row_sums(graph.weights * b[graph.indices])
 
 
 def weight_second_moment(ws: WeightSet) -> float:

@@ -31,6 +31,7 @@ __all__ = [
 
 _MSG_CLIP = 30.0
 _MAG_FLOOR = 1e-12
+_BYTE_PARITY = np.array([bin(b).count("1") & 1 for b in range(256)], dtype=np.uint8)
 
 
 class LdpcConstructionError(RuntimeError):
@@ -45,6 +46,7 @@ class LdpcCode:
     k_msg: int
     check_rows: list  # list[np.ndarray], sorted var indices per check
     enc_matrix: np.ndarray  # (m, k_msg) uint8; parity = enc_matrix @ msg mod 2
+    enc_packed: np.ndarray = field(init=False, repr=False)  # enc_matrix rows packed 8 bits a byte
     edge_var: np.ndarray = field(init=False, repr=False)
     check_ptr: np.ndarray = field(init=False, repr=False)
     edge_check: np.ndarray = field(init=False, repr=False)
@@ -53,6 +55,7 @@ class LdpcCode:
         degs = np.array([len(r) for r in self.check_rows], dtype=np.int64)
         if degs.min(initial=1) < 1:
             raise ValueError("empty check row")
+        self.enc_packed = np.packbits(self.enc_matrix, axis=1)
         self.edge_var = np.concatenate(self.check_rows).astype(np.int64)
         self.check_ptr = np.zeros(len(self.check_rows) + 1, dtype=np.int64)
         np.cumsum(degs, out=self.check_ptr[1:])
@@ -193,8 +196,12 @@ def ldpc_encode(code: LdpcCode, msg: np.ndarray) -> np.ndarray:
     msg = np.asarray(msg)
     if msg.shape != (code.k_msg,):
         raise ValueError(f"message length {msg.shape} != {code.k_msg}")
-    parity = np.dot(code.enc_matrix.astype(np.int64), msg.astype(np.int64)) % 2
-    return np.concatenate([msg.astype(np.uint8), parity.astype(np.uint8)])
+    if not np.all((msg == 0) | (msg == 1)):
+        raise ValueError("message bits must be 0 or 1")
+    bits = msg.astype(np.uint8)
+    # Parity j is the parity of the AND of encoder row j with the message.
+    acc = np.bitwise_xor.reduce(code.enc_packed & np.packbits(bits), axis=1)
+    return np.concatenate([bits, _BYTE_PARITY[acc]])
 
 
 def syndrome(code: LdpcCode, bits: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from afc.analysis import (
     WeightSearchError,
     ambiguity_recursion,
     check_nonzero_condition,
+    difference_projection,
     error_floor_bound,
     extension_collision_prob,
     gaussian_fit_check,
@@ -25,6 +26,7 @@ from afc.analysis import (
 from afc.core import (
     DegreeDistribution,
     EncoderPolicy,
+    FactorGraph,
     Selection,
     WeightAssignment,
     WeightSet,
@@ -138,6 +140,11 @@ class TestPairwiseErrorProb:
             assert pairwise_error_prob(g_big, b, flips, 0.5) <= pairwise_error_prob(
                 g_small, b, flips, 0.5
             )
+
+    @pytest.mark.parametrize("indptr, expected", [([0, 0, 2], [0.0, 0.5]), ([0, 2, 2], [0.5, 0.0])])
+    def test_difference_projection_empty_rows(self, indptr, expected):
+        g = FactorGraph(k=2, indptr=np.array(indptr), indices=np.array([0, 1]), weights=np.array([0.5, 0.25]))
+        assert np.array_equal(difference_projection(g, np.ones(2), [0]), expected)
 
     def test_validation(self):
         g = self.graph()

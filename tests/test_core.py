@@ -189,6 +189,18 @@ class TestBuildGraph:
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.weights, b.weights)
 
+    def test_balanced_matches_argsort_reference(self):
+        policy = EncoderPolicy(Selection.MIN_DEGREE_FIRST, WeightAssignment.BALANCED_PERMUTATION)
+        g = build_graph(300, 200, D8, RECIP, policy, substream(5, 10))
+        desc = np.sort(RECIP.as_array())[::-1]
+        strength = np.zeros(g.k)
+        for i in range(g.m):
+            idx, w = g.row(i)
+            row = np.empty(8)
+            row[np.argsort(strength[idx], kind="stable")] = desc
+            assert np.array_equal(w, row)
+            strength[idx] += row * row
+
 
 class TestEncode:
     def test_two_weight_sum(self):
@@ -222,6 +234,14 @@ class TestEncode:
         lhs = encode(g, x) + encode(g, y)
         rhs = encode(g, x + y)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "indptr, expected",
+        [([0, 0, 2], [0.0, 0.75]), ([0, 2, 2], [0.75, 0.0]), ([0, 1, 1, 2], [0.5, 0.0, 0.25])],
+    )
+    def test_empty_rows_sum_to_zero(self, indptr, expected):
+        g = FactorGraph(k=2, indptr=np.array(indptr), indices=np.array([0, 1]), weights=np.array([0.5, 0.25]))
+        assert np.array_equal(encode(g, np.ones(2)), expected)
 
     def test_coded_matches_row_sums(self):
         g = build_graph(100, 60, D8, RECIP, MIN_DEG_PERM, substream(6, 5))

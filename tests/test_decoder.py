@@ -18,6 +18,7 @@ from afc.core import (
     zero_sum_row_template,
 )
 from afc.decoder import (
+    _BLOCK_CFGS,
     DecoderConfig,
     LlrVector,
     UnsupportedDegreeError,
@@ -26,6 +27,7 @@ from afc.decoder import (
     check_to_var_messages,
     decode_with_precode,
     ml_decode_bruteforce,
+    _RowGroup,
 )
 from afc.precoder import LdpcCode, ldpc_encode, ldpc_generate
 from afc.rng import substream
@@ -214,6 +216,83 @@ class TestBpDecode:
         res = bp_decode(g, u, sigma2, cfg)
         ref = exact_posterior_llr(g, u, sigma2)
         assert np.allclose(res.llr, ref, rtol=1e-8, atol=1e-9)
+
+
+    def test_empty_row_changes_nothing(self):
+        g = build_graph(200, 120, D8, RECIP, BAL, substream(13, 1))
+        b = bits_to_bpsk(substream(13, 2).integers(0, 2, 200))
+        u = encode(g, b) + substream(13, 3).normal(0.0, 0.3, g.m)
+        at = 50  # an empty row between rows 49 and 50
+        padded = FactorGraph(
+            k=g.k,
+            indptr=np.insert(g.indptr, at + 1, g.indptr[at]),
+            indices=np.array(g.indices),
+            weights=np.array(g.weights),
+        )
+        assert encode(padded, b)[at] == 0.0
+        ref = bp_decode(g, u, 0.09)
+        res = bp_decode(padded, np.insert(u, at, 0.7), 0.09)
+        assert res.iterations == ref.iterations
+        assert np.array_equal(res.llr, ref.llr)
+
+
+def _unblocked_update(group, belief, damping, clip):
+    """The check update over the whole (rows, 2^d) array at once."""
+    v = np.clip(belief[group.idx] - group.c_msg, -clip, clip)
+    base = (v * 0.5) @ group.signs_t
+    base += group.resid
+    base -= base.max(axis=1, keepdims=True)
+    np.exp(base, out=base)
+    pos = np.maximum(base @ group.plus, 1e-300)
+    neg = np.maximum(base @ group.minus, 1e-300)
+    out = np.log(pos)
+    out -= np.log(neg)
+    out -= v
+    np.clip(out, -clip, clip, out=out)
+    return damping * group.c_msg + (1.0 - damping) * out if damping > 0.0 else out
+
+
+class TestBlockedUpdate:
+    """Row groups whose row count is not a multiple of the block rows."""
+
+    CLIP = 30.0
+    SIGMA2 = 0.1
+
+    def group(self, d, n_rows):
+        rng = np.random.default_rng(d)
+        w = rng.uniform(0.05, 0.5, (n_rows, d))
+        u = rng.normal(0.0, 1.0, n_rows)
+        g = _RowGroup(rng.integers(0, 64, (n_rows, d)), w, u, self.SIGMA2)
+        g.c_msg = rng.normal(0.0, 4.0, (n_rows, d))
+        return g, w, u, rng.normal(0.0, 8.0, 64)
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 14])
+    @pytest.mark.parametrize("damping", [0.0, 0.5])
+    def test_rows_match_single_row_kernel(self, d, damping):
+        step = max(1, _BLOCK_CFGS >> d)
+        n_rows = 3 * step + 5
+        g, w, u, belief = self.group(d, n_rows)
+        old = g.c_msg.copy()
+        v = np.clip(belief[g.idx] - old, -self.CLIP, self.CLIP)
+        g.update(belief, damping, self.CLIP)
+        # every row beside a block edge, the last rows, and a sample of the rest
+        near_edges = {i for s in range(0, n_rows, step) for i in range(s - 2, s + 3) if 0 <= i < n_rows}
+        sample = np.random.default_rng(0).choice(n_rows, 32).tolist()
+        for i in sorted(near_edges | set(range(n_rows - 3, n_rows)) | set(sample)):
+            new = check_to_var_messages(w[i], u[i], self.SIGMA2, v[i], self.CLIP)
+            want = damping * old[i] + (1.0 - damping) * new
+            np.testing.assert_allclose(g.c_msg[i], want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    @pytest.mark.parametrize("extra", [1, 5])
+    def test_bit_identical_to_unblocked(self, d, extra):
+        # Up to degree 8 the sums have at most 256 terms, so BLAS adds them in
+        # the same order for any number of rows above one; a last block of one
+        # row would take its other order.
+        g, _, _, belief = self.group(d, 2 * max(1, _BLOCK_CFGS >> d) + extra)
+        want = _unblocked_update(g, belief, 0.5, self.CLIP)
+        g.update(belief, 0.5, self.CLIP)
+        assert np.array_equal(g.c_msg, want)
 
 
 class TestMlBruteforce:

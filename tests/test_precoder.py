@@ -85,6 +85,25 @@ class TestEncode:
         with pytest.raises(ValueError):
             ldpc_encode(code, np.zeros(code.k_msg + 1, dtype=np.uint8))
 
+    @pytest.mark.parametrize("n", [1000, 10000])
+    def test_matches_dot_product_reference(self, n):
+        rng = substream(43, n)
+        k = n - n // 20  # not a multiple of 8, so the packed message carries pad bits
+        enc = rng.integers(0, 2, (n - k, k)).astype(np.uint8)
+        code = LdpcCode(n, k, [np.array([j]) for j in range(k, n)], enc)
+        for _ in range(5):
+            msg = rng.integers(0, 2, k)
+            parity = (enc.astype(np.int64) @ msg) % 2
+            cw = ldpc_encode(code, msg)
+            assert cw.dtype == np.uint8
+            assert np.array_equal(cw, np.concatenate([msg, parity]))
+
+    def test_non_binary_message_rejected(self, code):
+        msg = np.zeros(code.k_msg, dtype=np.int64)
+        msg[3] = 2
+        with pytest.raises(ValueError):
+            ldpc_encode(code, msg)
+
 
 class TestDecode:
     def test_saturated_codeword_recovered(self, code):
