@@ -50,15 +50,6 @@ class ChannelParams:
     def sigma2(self) -> float:
         return snr_to_sigma(self.snr_db, self.per_complex_noise)
 
-    @property
-    def capacity(self) -> float:
-        """Quoted-SNR reference capacity (the curve sweeps are plotted against)."""
-        return capacity_bits(self.snr_db)
-
-    @property
-    def true_capacity(self) -> float:
-        return capacity_bits(self.snr_db, self.per_complex_noise)
-
 
 def transmit(c: np.ndarray, params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
     """Observed symbols u = c + n with i.i.d. zero-mean Gaussian noise."""

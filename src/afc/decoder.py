@@ -66,7 +66,6 @@ class DecoderConfig:
     damping: float = 0.5
     llr_clip: float = 30.0
     convergence_eps: float = 0.0  # 0 disables the belief-change stop
-    stop_on_precode_valid: bool = True
     stop_on_stable_decisions: bool = True
 
     def __post_init__(self) -> None:
@@ -223,10 +222,9 @@ def _bp(
     """The flooding loop: every check group updates against the same beliefs,
     then the beliefs are rebuilt as prior plus all check messages.
 
-    Stops on a satisfied outer syndrome (with a code and
-    ``stop_on_precode_valid``), on hard decisions unchanged for 2 straight
-    iterations (4 with a code), or on a belief change below
-    ``convergence_eps``.
+    Stops on a satisfied outer syndrome (with a code), on hard decisions
+    unchanged for 2 straight iterations (4 with a code), or on a belief
+    change below ``convergence_eps``.
     """
     groups: list = [] if code is None else [_OuterChecks(code)]
     groups += [_RowGroup.of_degree(graph, int(d), u, sigma2) for d in np.unique(graph.row_degrees())]
@@ -241,7 +239,7 @@ def _bp(
         for g in groups:
             g.accumulate(belief)
         bits = (belief < 0).astype(np.uint8)
-        if code is not None and cfg.stop_on_precode_valid and syndrome_ok(code, bits):
+        if code is not None and syndrome_ok(code, bits):
             break
         if cfg.stop_on_stable_decisions:
             if prev_bits is not None and np.array_equal(bits, prev_bits):

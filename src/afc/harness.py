@@ -53,6 +53,12 @@ VARIANTS = ("uniform", "min-degree", "min-degree+precode")
 # needs sigma well below the minimum gap between distinct row sums
 NOISELESS_DECODE_SIGMA2 = 1e-12
 
+# config spellings of a bool, matched case-insensitively
+_BOOL_WORDS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
 CSV_COLUMNS = ("snr_db", "n_symbols", "rate_bits_per_cu", "ber", "fer", "trials", "seed")
 
 
@@ -89,6 +95,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.rates is not None and any(b <= a for a, b in zip(self.rates, self.rates[1:])):
             raise ValueError("rate grid must be strictly increasing")
+        if self.rates and not self.rates[0] > 0.0:
+            raise ValueError("rates must be > 0 bits per channel use")
         for v in self.variants:
             if v not in VARIANTS:
                 raise ValueError(f"unknown variant {v!r}")
@@ -103,6 +111,9 @@ class ExperimentConfig:
             raise ValueError(f"{self.assignment} assignment needs degree == weight set size {f}")
         if assignment is WeightAssignment.WITHOUT_REPLACEMENT and self.degree > f:
             raise ValueError(f"degree exceeds weight set size {f} for draw without replacement")
+        if self.ldpc_var_degree < 1:
+            raise ValueError("ldpc_var_degree must be >= 1")
+        DecoderConfig(max_iters=self.max_iters, damping=self.damping)  # ValueError out of bounds
 
 
 @dataclass
@@ -426,8 +437,11 @@ def _parse_value(hint, value):
     if typing.get_origin(hint) is tuple:
         items = value if isinstance(value, (tuple, list)) else str(value).split(",")
         return tuple(_parse_value(args[0], x.strip() if isinstance(x, str) else x) for x in items)
-    if hint is bool:
-        return value if isinstance(value, bool) else str(value).lower() in ("1", "true", "yes", "on")
+    if hint is bool and not isinstance(value, bool):
+        word = str(value).lower()
+        if word not in _BOOL_WORDS:
+            raise ValueError(f"not a boolean: {value!r}")
+        return _BOOL_WORDS[word]
     return hint(value)
 
 

@@ -81,11 +81,12 @@ def _get_bit(packed: np.ndarray, col: int) -> np.ndarray:
     return (packed[:, col >> 3] >> (7 - (col & 7))) & 1
 
 
-def _rref_from_right(n: int, check_rows: list) -> tuple[list[int], list[np.ndarray]] | None:
-    """GF(2) elimination preferring high-index pivot columns.
+def _rref_from_right(n: int, check_rows: list) -> tuple[np.ndarray, np.ndarray]:
+    """Full GF(2) reduction preferring high-index pivot columns.
 
-    Returns (pivot columns ascending, eliminated rows as unpacked bit arrays)
-    or None when the matrix is row-rank deficient.
+    Returns (pivot columns ascending, the reduced rows in that order as one
+    (m, n) uint8 matrix); raises LdpcConstructionError when the matrix is
+    row-rank deficient.
     """
     m = len(check_rows)
     packed = _pack_rows(n, check_rows)
@@ -97,45 +98,32 @@ def _rref_from_right(n: int, check_rows: list) -> tuple[list[int], list[np.ndarr
         if cand.size == 0:
             continue
         r = int(cand[0])
-        others = np.nonzero(bits)[0]
-        others = others[others != r]
-        if others.size:
-            packed[others] ^= packed[r]
+        bits[r] = False
+        packed[bits] ^= packed[r]
         free_rows[r] = False
         pivot_of_row[r] = col
         if len(pivot_of_row) == m:
             break
     if len(pivot_of_row) < m:
-        return None
-    unpacked = np.unpackbits(packed, axis=1, count=n)
-    rows_by_pivot = sorted(pivot_of_row.items(), key=lambda rc: rc[1])
-    pivots = [c for _, c in rows_by_pivot]
-    rref_rows = [unpacked[r] for r, _ in rows_by_pivot]
-    return pivots, rref_rows
+        raise LdpcConstructionError("parity-check matrix is row-rank deficient")
+    rows = sorted(pivot_of_row, key=pivot_of_row.get)
+    pivots = np.array([pivot_of_row[r] for r in rows], dtype=np.int64)
+    return pivots, np.unpackbits(packed[rows], axis=1, count=n)
 
 
 def _from_check_rows(n: int, check_rows: list) -> LdpcCode:
-    """Arrange parity columns last and derive the systematic encoder."""
-    m = len(check_rows)
-    k = n - m
-    res = _rref_from_right(n, check_rows)
-    if res is None:
-        raise LdpcConstructionError("parity-check matrix is row-rank deficient")
-    pivots, rref_rows = res
-    pivot_set = set(pivots)
-    msg_cols = [c for c in range(n) if c not in pivot_set]
+    """Arrange parity columns last and derive the systematic encoder.
+
+    Every pivot column is cleared from all rows but its own, so parity bit j
+    is the sum of the message bits that reduced row j touches: the encoder
+    is the reduced rows restricted to the message columns.
+    """
+    pivots, red = _rref_from_right(n, check_rows)
+    msg_cols = np.setdiff1d(np.arange(n), pivots, assume_unique=True)
     new_pos = np.empty(n, dtype=np.int64)
-    for p, c in enumerate(msg_cols + pivots):
-        new_pos[c] = p
-    enc = np.zeros((m, k), dtype=np.uint8)
-    for j, (pivot, row) in enumerate(zip(pivots, rref_rows)):
-        cols = np.nonzero(row)[0]
-        for c in cols:
-            if c == pivot:
-                continue
-            enc[j, new_pos[c]] = 1
+    new_pos[np.concatenate([msg_cols, pivots])] = np.arange(n)
     permuted = [np.sort(new_pos[np.asarray(r)]) for r in check_rows]
-    return LdpcCode(n=n, k_msg=k, check_rows=permuted, enc_matrix=enc)
+    return LdpcCode(n=n, k_msg=len(msg_cols), check_rows=permuted, enc_matrix=red.take(msg_cols, axis=1))
 
 
 def _greedy_rows(n: int, m: int, dv: int, rng: np.random.Generator, tries: int = 50) -> list:
@@ -178,8 +166,8 @@ def ldpc_generate(
     if not 0.0 < rate < 1.0:
         raise ValueError("rate must lie in (0, 1)")
     m = int(round(n * (1.0 - rate)))
-    if m < var_degree:
-        raise ValueError("too few checks for the requested variable degree")
+    if not 1 <= var_degree <= m:
+        raise ValueError(f"variable degree must lie in [1, m = {m}]")
     if rng is None:
         rng = np.random.default_rng()
     for _ in range(max_attempts):
@@ -286,11 +274,21 @@ def save_code(code: LdpcCode, path) -> None:
 
 
 def load_code(path) -> LdpcCode:
-    """Rebuild a code (including its encoder) from the serialized structure."""
+    """Rebuild a code (including its encoder) from the serialized structure.
+
+    Raises ValueError unless the file holds a header 'n m' with 0 < m < n
+    and then exactly m rows of distinct variable indices in [0, n).
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        n, m = int(header[0]), int(header[1])
-        rows = []
-        for _ in range(m):
-            rows.append(np.array([int(x) for x in fh.readline().split()], dtype=np.int64))
+        header, *lines = fh.read().splitlines() or [""]
+    fields = header.split()
+    if len(fields) != 2:
+        raise ValueError(f"header must be 'n m', got {header!r}")
+    n, m = int(fields[0]), int(fields[1])
+    if not 0 < m < n or len(lines) != m:
+        raise ValueError(f"header 'n m' = {n} {m} needs 0 < m < n and m rows; the file has {len(lines)}")
+    rows = [np.array([int(x) for x in line.split()], dtype=np.int64) for line in lines]
+    for i, row in enumerate(rows):
+        if row.size == 0 or row.min() < 0 or row.max() >= n or np.unique(row).size < row.size:
+            raise ValueError(f"check row {i} must hold distinct indices in [0, {n})")
     return _from_check_rows(n, rows)

@@ -194,12 +194,31 @@ class TestConfig:
             {"degree": 9, "assignment": "without-replacement"},
             {"degree": 15, "assignment": "with-replacement"},
             {"degree": 0, "assignment": "with-replacement"},
+            {"damping": 1.5, "variants": ("min-degree+precode",)},
+            {"damping": -0.1},
+            {"max_iters": 0},
+            {"rates": (0.0, 1.0)},
+            {"rates": (-1.0, 1.0)},
+            {"ldpc_var_degree": 0},
         ],
         ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()),
     )
     def test_bad_config_fails_at_construction(self, bad):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [("TRUE", True), ("Yes", True), ("on", True), ("1", True),
+         ("false", False), ("NO", False), ("Off", False), ("0", False)],
+    )
+    def test_bool_spellings(self, text, value):
+        assert config_from_mapping({"noiseless": text}).noiseless is value
+
+    @pytest.mark.parametrize("text", ["ture", "", "2", "y"])
+    def test_unknown_bool_spelling_rejected(self, text):
+        with pytest.raises(ValueError):
+            config_from_mapping({"noiseless": text})
 
     def test_without_replacement_allows_smaller_degree(self):
         assert ExperimentConfig(degree=5, assignment="without-replacement").degree == 5

@@ -1,8 +1,19 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from afc.precoder import (
     LdpcCode,
+    LdpcConstructionError,
+    _from_check_rows,
+    _get_bit,
+    _greedy_rows,
+    _pack_rows,
     ldpc_decode,
     ldpc_encode,
     ldpc_generate,
@@ -12,12 +23,64 @@ from afc.precoder import (
     syndrome,
     syndrome_ok,
 )
-from afc.rng import substream
+from afc.rng import GRAPH, substream
 
 
 @pytest.fixture(scope="module")
 def code():
     return ldpc_generate(1000, 0.95, 3, substream(40, 1))
+
+
+def _per_bit_reference(n: int, check_rows: list):
+    """The earlier derivation, kept as reference: a packed right-preferring
+    elimination unpacked into rows, then the encoder filled one bit at a time.
+
+    Returns (k_msg, permuted check rows, encoder), or None when rank deficient.
+    """
+    m = len(check_rows)
+    packed = _pack_rows(n, check_rows)
+    pivot_of_row: dict[int, int] = {}
+    free_rows = np.ones(m, dtype=bool)
+    for col in range(n - 1, -1, -1):
+        bits = _get_bit(packed, col).astype(bool)
+        cand = np.nonzero(bits & free_rows)[0]
+        if cand.size == 0:
+            continue
+        r = int(cand[0])
+        others = np.nonzero(bits)[0]
+        others = others[others != r]
+        if others.size:
+            packed[others] ^= packed[r]
+        free_rows[r] = False
+        pivot_of_row[r] = col
+        if len(pivot_of_row) == m:
+            break
+    if len(pivot_of_row) < m:
+        return None
+    unpacked = np.unpackbits(packed, axis=1, count=n)
+    rows_by_pivot = sorted(pivot_of_row.items(), key=lambda rc: rc[1])
+    pivots = [c for _, c in rows_by_pivot]
+    pivot_set = set(pivots)
+    msg_cols = [c for c in range(n) if c not in pivot_set]
+    new_pos = np.empty(n, dtype=np.int64)
+    for p, c in enumerate(msg_cols + pivots):
+        new_pos[c] = p
+    enc = np.zeros((m, n - m), dtype=np.uint8)
+    for j, (r, pivot) in enumerate(rows_by_pivot):
+        for c in np.nonzero(unpacked[r])[0]:
+            if c != pivot:
+                enc[j, new_pos[c]] = 1
+    permuted = [np.sort(new_pos[np.asarray(r)]) for r in check_rows]
+    return n - m, permuted, enc
+
+
+def _assert_matches_reference(code: LdpcCode, ref) -> None:
+    k, check_rows, enc = ref
+    assert code.k_msg == k
+    assert code.enc_matrix.dtype == enc.dtype and code.enc_matrix.flags.c_contiguous
+    assert np.array_equal(code.enc_matrix, enc)
+    assert len(code.check_rows) == len(check_rows)
+    assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(code.check_rows, check_rows))
 
 
 class TestGenerate:
@@ -58,9 +121,44 @@ class TestGenerate:
             msg = rng.integers(0, 2, code.k_msg).astype(np.uint8)
             assert syndrome_ok(code, ldpc_encode(code, msg))
 
+    @pytest.mark.parametrize("n,path", [(200, (7, GRAPH, 0xC0DE)), (1000, (40, 1)), (10000, (40, 9))])
+    def test_encoder_matches_per_bit_reference(self, n, path):
+        rows = _greedy_rows(n, n // 20, 3, substream(*path))
+        _assert_matches_reference(_from_check_rows(n, rows), _per_bit_reference(n, rows))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_encoder_annihilates_checks(self, data):
+        """Rank-deficient check sets are rejected; otherwise every basis
+        message encodes to a codeword of the permuted checks, and a save/load
+        round trip rebuilds the same encoder."""
+        n = data.draw(st.integers(2, 24), label="n")
+        m = data.draw(st.integers(1, n - 1), label="m")
+        h = data.draw(arrays(np.uint8, (m, n), elements=st.integers(0, 1), fill=st.nothing()), label="h")
+        rows = [np.flatnonzero(r) for r in h]
+        ref = _per_bit_reference(n, rows)
+        if ref is None:  # row-rank deficient
+            with pytest.raises(LdpcConstructionError):
+                _from_check_rows(n, rows)
+            return
+        code = _from_check_rows(n, rows)
+        _assert_matches_reference(code, ref)
+        k = code.k_msg
+        dense = np.zeros((m, n), dtype=np.int64)
+        for i, row in enumerate(code.check_rows):
+            dense[i, row] = 1
+        assert not ((dense[:, :k] + dense[:, k:] @ code.enc_matrix) % 2).any()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "code.txt"
+            save_code(code, path)
+            loaded = load_code(path)
+        assert loaded.k_msg == k and np.array_equal(loaded.enc_matrix, code.enc_matrix)
+
     def test_infeasible_parameters(self):
         with pytest.raises(ValueError):
             ldpc_generate(40, 0.99, 3, substream(40, 3))  # m = 0 < var_degree
+        with pytest.raises(ValueError):
+            ldpc_generate(1000, 0.95, 0, substream(40, 3))  # variables in no check
 
 
 class TestEncode:
@@ -167,6 +265,30 @@ class TestSerialization:
         save_code(code, p1)
         save_code(load_code(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda lines, n: [lines[0], "-1 " + lines[1], *lines[2:]],
+            lambda lines, n: [lines[0], f"{lines[1]} {n}", *lines[2:]],
+            lambda lines, n: [lines[0], lines[1].split()[0] + " " + lines[1], *lines[2:]],
+            lambda lines, n: [lines[0], "", *lines[2:]],
+            lambda lines, n: lines[:-1],
+            lambda lines, n: lines + lines[-1:],
+            lambda lines, n: [lines[0] + " 3", *lines[1:]],
+            lambda lines, n: ["3 3", "0", "1", "2"],
+            lambda lines, n: [],
+        ],
+        ids=["negative-index", "index-n", "duplicate-index", "empty-row", "truncated", "extra-row",
+             "header-fields", "no-message-bits", "empty-file"],
+    )
+    def test_malformed_file_rejected(self, code, tmp_path, mutate):
+        path = tmp_path / "code.txt"
+        save_code(code, path)
+        lines = path.read_text().splitlines()
+        path.write_text("".join(line + "\n" for line in mutate(lines, code.n)))
+        with pytest.raises(ValueError):
+            load_code(path)
 
     def test_format(self, code, tmp_path):
         path = tmp_path / "code.txt"
