@@ -8,9 +8,10 @@ with max subtraction; cost per row per iteration is O(2^d * d), which is
 cheap for the flagship degree 8 (256 configurations). Degrees above 14 are
 refused.
 
-One flooding loop serves both entry points: ``bp_decode`` runs the fountain
-rows alone, ``bp_decode_joint`` runs them together with the parity checks of
-an outer LDPC code.
+One flooding loop serves three entry points, each handing it a list of check
+groups: ``bp_decode`` runs the fountain rows alone, ``bp_decode_joint`` runs
+them together with the parity checks of an outer LDPC code, and
+``afc.precoder.ldpc_decode`` runs the parity checks alone.
 """
 
 from __future__ import annotations
@@ -119,15 +120,13 @@ def check_to_var_messages(
     undamped update of the kernel BP runs on whole row groups.
     """
     w = np.asarray(weights, dtype=np.float64)
-    lam = np.asarray(incoming, dtype=np.float64)
     d = len(w)
     if d < 1 or d > MAX_ENUM_DEGREE:
         raise UnsupportedDegreeError(f"degree {d} outside [1, {MAX_ENUM_DEGREE}]")
-    if len(lam) != d:
-        raise ValueError("incoming message count must match row degree")
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
-    row = _RowGroup(np.arange(d)[None, :], w[None, :], np.array([float(u_i)]), sigma2)
+    lam = _finite_vector(incoming, (d,), "incoming messages")
+    u = _finite_vector([u_i], (1,), "observation")
+    _check_sigma2(sigma2)
+    row = _RowGroup(np.arange(d)[None, :], w[None, :], u, sigma2)
     row.update(lam, 0.0, min(float(clip), _MAX_CLIP))
     return row.c_msg[0]
 
@@ -201,33 +200,44 @@ class _OuterChecks:
         belief += np.bincount(self.code.edge_var, weights=self.c_msg, minlength=len(belief))
 
 
-def _check_inputs(graph: FactorGraph, u, sigma2: float) -> np.ndarray:
-    """The observation as float64 once it and sigma2 fit the graph."""
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (graph.m,):
-        raise ValueError(f"observation length {u.shape} does not match rows {graph.m}")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("non-finite observation")
+def _finite_vector(x, shape: tuple, name: str) -> np.ndarray:
+    """``x`` as float64 once it has the given shape and is all finite."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != shape:
+        raise ValueError(f"{name} has shape {x.shape}, expected {shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"non-finite {name}")
+    return x
+
+
+def _check_sigma2(sigma2: float) -> None:
     if not (np.isfinite(sigma2) and sigma2 > 0):
         raise ValueError("sigma2 must be positive and finite")
+
+
+def _check_inputs(graph: FactorGraph, u, sigma2: float) -> np.ndarray:
+    """The observation as float64 once it and sigma2 fit the graph."""
+    u = _finite_vector(u, (graph.m,), "observation")
+    _check_sigma2(sigma2)
     d_max = int(graph.row_degrees().max(initial=0))
     if d_max > MAX_ENUM_DEGREE:
         raise UnsupportedDegreeError(f"row degree {d_max} exceeds enumeration bound {MAX_ENUM_DEGREE}")
     return u
 
 
-def _bp(
-    graph: FactorGraph, u: np.ndarray, sigma2: float, cfg: DecoderConfig, prior: np.ndarray, code
-) -> LlrVector:
+def _row_groups(graph: FactorGraph, u: np.ndarray, sigma2: float) -> list:
+    return [_RowGroup.of_degree(graph, int(d), u, sigma2) for d in np.unique(graph.row_degrees())]
+
+
+def _bp(groups: list, prior: np.ndarray, cfg: DecoderConfig, code) -> LlrVector:
     """The flooding loop: every check group updates against the same beliefs,
     then the beliefs are rebuilt as prior plus all check messages.
 
-    Stops on a satisfied outer syndrome (with a code), on hard decisions
-    unchanged for 2 straight iterations (4 with a code), or on a belief
-    change below ``convergence_eps``.
+    Stops once the hard decisions satisfy every check of ``code`` (when
+    given) with no belief exactly 0, on hard decisions unchanged for 2
+    straight iterations (4 with a code), or on a belief change below
+    ``convergence_eps``.
     """
-    groups: list = [] if code is None else [_OuterChecks(code)]
-    groups += [_RowGroup.of_degree(graph, int(d), u, sigma2) for d in np.unique(graph.row_degrees())]
     stable_run = 2 if code is None else 4
     belief = prior
     prev_bits: np.ndarray | None = None
@@ -239,7 +249,7 @@ def _bp(
         for g in groups:
             g.accumulate(belief)
         bits = (belief < 0).astype(np.uint8)
-        if code is not None and syndrome_ok(code, bits):
+        if code is not None and syndrome_ok(code, bits) and np.all(belief != 0):
             break
         if cfg.stop_on_stable_decisions:
             if prev_bits is not None and np.array_equal(bits, prev_bits):
@@ -269,10 +279,8 @@ def bp_decode(
     Deterministic given its inputs.
     """
     u = _check_inputs(graph, u, sigma2)
-    prior = np.zeros(graph.k) if prior is None else np.asarray(prior, dtype=np.float64)
-    if prior.shape != (graph.k,):
-        raise ValueError("prior length must equal k")
-    return _bp(graph, u, sigma2, cfg or DecoderConfig(), prior, None)
+    prior = np.zeros(graph.k) if prior is None else _finite_vector(prior, (graph.k,), "prior")
+    return _bp(_row_groups(graph, u, sigma2), prior, cfg or DecoderConfig(), None)
 
 
 def ml_decode_bruteforce(graph: FactorGraph, u: np.ndarray) -> np.ndarray:
@@ -307,8 +315,6 @@ def ml_decode_bruteforce(graph: FactorGraph, u: np.ndarray) -> np.ndarray:
     return best
 
 
-
-
 def bp_decode_joint(
     graph: FactorGraph,
     u: np.ndarray,
@@ -327,7 +333,8 @@ def bp_decode_joint(
     if code.n != graph.k:
         raise ValueError(f"outer codeword length {code.n} != graph variables {graph.k}")
     u = _check_inputs(graph, u, sigma2)
-    return _bp(graph, u, sigma2, cfg or DecoderConfig(), np.zeros(graph.k), code)
+    groups = [_OuterChecks(code), *_row_groups(graph, u, sigma2)]
+    return _bp(groups, np.zeros(graph.k), cfg or DecoderConfig(), code)
 
 
 def decode_with_precode(
@@ -336,10 +343,9 @@ def decode_with_precode(
     sigma2: float,
     cfg: DecoderConfig,
     code,
-    ldpc_iters: int = 50,
 ) -> np.ndarray:
     """Message bits through the outer high-rate code: ``bp_decode_joint``,
     then the outer decoder on its posterior LLRs."""
     result = bp_decode_joint(graph, u, sigma2, code, cfg)
-    bits, _converged = ldpc_decode(code, result.llr, ldpc_iters)
+    bits, _converged = ldpc_decode(code, result.llr)
     return bits

@@ -1,4 +1,4 @@
-"""High-rate LDPC outer code: construction, systematic encoder, SPA decoder.
+"""High-rate LDPC outer code: construction, systematic encoder, parity checks.
 
 The construction is greedy progressive-edge-growth style: variables are
 regular (degree ``var_degree``) and each new variable attaches to the
@@ -7,6 +7,9 @@ keeps the Tanner graph free of 4-cycles whenever the pair budget allows.
 Encoding is systematic (message bits first); the parity positions are the
 pivot columns of a right-preferring GF(2) elimination, so a code reloaded
 from its serialized parity structure reproduces the identical encoder.
+The tanh rule here is the check update that the BP engine of
+``afc.decoder`` runs for these checks, on its own in ``ldpc_decode`` and
+beside the fountain rows in ``bp_decode_joint``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ __all__ = [
     "ldpc_generate",
     "ldpc_encode",
     "ldpc_decode",
-    "ldpc_posterior",
     "tanh_rule_messages",
     "syndrome",
     "syndrome_ok",
@@ -228,40 +230,24 @@ def tanh_rule_messages(code: LdpcCode, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _spa(code: LdpcCode, llr: np.ndarray, max_iters: int) -> tuple[np.ndarray, bool, int]:
-    lam = np.clip(np.asarray(llr, dtype=np.float64), -1e3, 1e3)
-    belief = lam.copy()
-    hard = (belief < 0).astype(np.uint8)
-    if syndrome_ok(code, hard) and np.all(belief != 0):
-        return belief, True, 0
-    c_msg = np.zeros(len(code.edge_var))
-    for it in range(1, max_iters + 1):
-        v = belief[code.edge_var] - c_msg
-        c_msg = tanh_rule_messages(code, v)
-        belief = lam + np.bincount(code.edge_var, weights=c_msg, minlength=code.n)
-        hard = (belief < 0).astype(np.uint8)
-        if syndrome_ok(code, hard) and np.all(belief != 0):
-            return belief, True, it
-    return belief, False, max_iters
-
-
 def ldpc_decode(code: LdpcCode, llr, max_iters: int = 50) -> tuple[np.ndarray, bool]:
-    """Sum-product decoding; returns (message bits, syndrome satisfied).
+    """Sum-product decoding of the outer code alone; returns (message bits,
+    converged).
 
-    ``converged`` additionally requires every belief to be non-zero: an
-    all-erasure input whose zero-tie decisions happen to form a codeword is
-    not reported as converged.
+    One run of the BP engine over the parity checks, with ``llr`` (shape
+    ``(n,)``, all finite) as the prior and no damping. It stops once the
+    hard decisions satisfy every check with no belief exactly 0, or after
+    ``max_iters``; ``converged`` says which. An all-erasure input whose
+    zero-tie decisions happen to form a codeword is therefore not reported
+    as converged.
     """
-    arr = getattr(llr, "llr", llr)
-    belief, converged, _ = _spa(code, arr, max_iters)
-    return (belief[: code.k_msg] < 0).astype(np.uint8), converged
+    from .decoder import DecoderConfig, _bp, _finite_vector, _OuterChecks  # afc.decoder imports this module
 
-
-def ldpc_posterior(code: LdpcCode, llr, max_iters: int = 50) -> np.ndarray:
-    """Posterior LLRs over the whole codeword (for outer iteration loops)."""
-    arr = getattr(llr, "llr", llr)
-    belief, _, _ = _spa(code, arr, max_iters)
-    return belief
+    prior = _finite_vector(llr, (code.n,), "llr")
+    cfg = DecoderConfig(max_iters=max_iters, damping=0.0, stop_on_stable_decisions=False)
+    belief = _bp([_OuterChecks(code)], prior, cfg, code).llr
+    bits = (belief < 0).astype(np.uint8)
+    return bits[: code.k_msg], syndrome_ok(code, bits) and bool(np.all(belief != 0))
 
 
 def save_code(code: LdpcCode, path) -> None:

@@ -169,6 +169,11 @@ class TestBpDecode:
         b = bp_decode(g, -u, 0.1, cfg, prior=-prior)
         assert np.allclose(a.llr, -b.llr, rtol=1e-9, atol=1e-10)
 
+    @pytest.mark.parametrize("prior", [np.zeros(3), np.array([0.0, np.nan, 0.0, 0.0])], ids=["short", "nan"])
+    def test_bad_prior_rejected(self, prior):
+        with pytest.raises(ValueError):
+            bp_decode(chain_graph(4), np.zeros(3), 1.0, prior=prior)
+
     def test_scale_consistency(self):
         g = build_graph(20, 30, D8, RECIP, PERM, substream(10, 1))
         b = bits_to_bpsk(substream(10, 2).integers(0, 2, 20))
@@ -402,6 +407,16 @@ class TestEntryPointInputs:
         )
         with pytest.raises(UnsupportedDegreeError):
             decode(g, np.zeros(1), 1.0)
+
+
+@pytest.mark.parametrize(
+    "u_i,sigma2,incoming",
+    [(0.4, np.nan, [0.0, 0.0]), (0.4, np.inf, [0.0, 0.0]), (np.nan, 1.0, [0.0, 0.0]), (0.4, 1.0, [0.0, np.nan])],
+    ids=["sigma2-nan", "sigma2-inf", "observation-nan", "message-nan"],
+)
+def test_check_to_var_refuses_what_entry_points_refuse(u_i, sigma2, incoming):
+    with pytest.raises(ValueError):
+        check_to_var_messages(np.array([0.5, 1 / 3]), u_i, sigma2, np.array(incoming))
 
 
 class TestLlrVector:

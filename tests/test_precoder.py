@@ -17,11 +17,11 @@ from afc.precoder import (
     ldpc_decode,
     ldpc_encode,
     ldpc_generate,
-    ldpc_posterior,
     load_code,
     save_code,
     syndrome,
     syndrome_ok,
+    tanh_rule_messages,
 )
 from afc.rng import GRAPH, substream
 
@@ -29,6 +29,39 @@ from afc.rng import GRAPH, substream
 @pytest.fixture(scope="module")
 def code():
     return ldpc_generate(1000, 0.95, 3, substream(40, 1))
+
+
+@pytest.fixture(scope="module", params=[200, 1000, 10000])
+def sized_code(request, code):
+    if request.param == 1000:
+        return code
+    return ldpc_generate(request.param, 0.95, 3, substream(40, request.param))
+
+
+def _spa_reference(code: LdpcCode, llr: np.ndarray, max_iters: int) -> tuple[np.ndarray, bool, int]:
+    """The earlier stand-alone sum-product loop, kept as reference for
+    ``ldpc_decode``: returns (full belief, converged, iterations)."""
+    lam = np.clip(np.asarray(llr, dtype=np.float64), -1e3, 1e3)
+    belief = lam.copy()
+    hard = (belief < 0).astype(np.uint8)
+    if syndrome_ok(code, hard) and np.all(belief != 0):
+        return belief, True, 0
+    c_msg = np.zeros(len(code.edge_var))
+    for it in range(1, max_iters + 1):
+        v = belief[code.edge_var] - c_msg
+        c_msg = tanh_rule_messages(code, v)
+        belief = lam + np.bincount(code.edge_var, weights=c_msg, minlength=code.n)
+        hard = (belief < 0).astype(np.uint8)
+        if syndrome_ok(code, hard) and np.all(belief != 0):
+            return belief, True, it
+    return belief, False, max_iters
+
+
+def _assert_decode_matches_reference(code: LdpcCode, llr: np.ndarray, max_iters: int = 50) -> None:
+    belief, converged, _ = _spa_reference(code, llr, max_iters)
+    bits, got = ldpc_decode(code, llr, max_iters)
+    assert got == converged
+    assert np.array_equal(bits, (belief[: code.k_msg] < 0).astype(np.uint8))
 
 
 def _per_bit_reference(n: int, check_rows: list):
@@ -237,15 +270,62 @@ class TestDecode:
         rng = substream(42, 4)
         for _ in range(50):
             llr = rng.normal(0.0, 2.0, code.n)
-            belief = ldpc_posterior(code, llr, max_iters=30)
+            belief, _, _ = _spa_reference(code, llr, 30)
             bits, converged = ldpc_decode(code, llr, max_iters=30)
             if converged:
                 full = (belief < 0).astype(np.uint8)
                 assert syndrome_ok(code, full)
+                assert np.array_equal(bits, full[: code.k_msg])
 
-    def test_posterior_shape(self, code):
-        out = ldpc_posterior(code, np.zeros(code.n), max_iters=2)
-        assert out.shape == (code.n,)
+    @pytest.mark.parametrize(
+        "kind", ["saturated", "noisy", "random-normal", "all-zero", "single-zero-saturated", "single-zero-noisy"]
+    )
+    def test_matches_spa_reference(self, sized_code, kind):
+        rng = substream(42, 5, sized_code.n)
+        for sigma in (0.3, 0.36, 0.42, 0.48):  # from iteration 0 to no convergence
+            msg = rng.integers(0, 2, sized_code.k_msg).astype(np.uint8)
+            x = 1.0 - 2.0 * ldpc_encode(sized_code, msg)
+            noisy = 2.0 * (x + rng.normal(0.0, sigma, sized_code.n)) / sigma**2
+            llr = {
+                "saturated": 40.0 * x,
+                "noisy": noisy,
+                "random-normal": rng.normal(0.0, 4.0 * sigma, sized_code.n),
+                "all-zero": np.zeros(sized_code.n),
+                "single-zero-saturated": 40.0 * x,
+                "single-zero-noisy": noisy,
+            }[kind]
+            if kind.startswith("single-zero"):
+                llr[rng.integers(sized_code.n)] = 0.0
+            _assert_decode_matches_reference(sized_code, llr)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_spa_reference_on_small_codes(self, data):
+        n = data.draw(st.integers(2, 24), label="n")
+        m = data.draw(st.integers(1, n - 1), label="m")
+        h = data.draw(arrays(np.uint8, (m, n), elements=st.integers(0, 1), fill=st.nothing()), label="h")
+        try:
+            small = _from_check_rows(n, [np.flatnonzero(r) for r in h])
+        except (LdpcConstructionError, ValueError):  # rank deficient, or an empty check
+            return
+        values = st.floats(-1e4, 1e4, allow_nan=False) | st.sampled_from([0.0, 1e-300, -1e-300])
+        llr = data.draw(arrays(np.float64, n, elements=values), label="llr")
+        _assert_decode_matches_reference(small, llr, data.draw(st.integers(1, 20), label="max_iters"))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda n: np.full(n + 20, 5.0),
+            lambda n: np.full(n - 50, 5.0),
+            lambda n: np.where(np.arange(n) == 7, np.nan, 5.0),
+            lambda n: np.where(np.arange(n) == 7, np.inf, 5.0),
+            lambda n: np.where(np.arange(n) == 7, -np.inf, 5.0),
+        ],
+        ids=["long", "short", "nan", "inf", "-inf"],
+    )
+    def test_malformed_llr_rejected(self, code, bad):
+        with pytest.raises(ValueError):
+            ldpc_decode(code, bad(code.n))
 
 
 class TestSerialization:
