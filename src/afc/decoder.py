@@ -3,10 +3,12 @@
 Check nodes are marginalized exactly: a row of degree d enumerates all 2^d
 sign configurations of its neighbors against the Gaussian likelihood
 exp(-(u_i - sum_j g_ij b_j)^2 / (2 sigma^2)), so no Gaussian message
-approximation is involved. All likelihood products run in the log domain
-with max subtraction; cost per row per iteration is O(2^d * d), which is
-cheap for the flagship degree 8 (256 configurations). Degrees above 14 are
-refused.
+approximation is involved. All likelihood products run in the log domain,
+shifted by each row's largest Gaussian term, a bound fixed per frame,
+rather than by the maximum over the enumerated configurations (kept only
+for clips too large for that bound). Cost per row per iteration is
+O(2^d * d), which is cheap for the flagship degree 8 (256 configurations).
+Degrees above 14 are refused.
 
 One flooding loop serves three entry points, each handing it a list of check
 groups: ``bp_decode`` runs the fountain rows alone, ``bp_decode_joint`` runs
@@ -44,9 +46,20 @@ _MAX_CLIP = 300.0
 _TINY = 1e-300
 _ML_MAX_VARS = 20
 # Configurations per block of the check update: a block of 2^16 float64
-# (512 KB, 256 rows at degree 8) stays in a core's L2 cache across the six
+# (512 KB, 256 rows at degree 8) stays in a core's L2 cache across the five
 # passes over it, where a whole row group streams from memory on each pass.
 _BLOCK_CFGS = 1 << 16
+# The check update shifts each row's log terms by the row's largest Gaussian
+# term, fixed per frame, instead of by the largest term of each block. The
+# message part |H.s| is at most d*clip/2, so no term exceeds e^(d*clip/2) and
+# the row's best term is at least e^(-d*clip/2). A message is unsaturated only
+# while its weaker side lies within 2*clip of the stronger one, which is then
+# at least e^(-(d/2+2)*clip). While (d/2+2)*clip stays under _BOUND_SHIFT_MAX,
+# that side is far above the _TINY floor e^(-690.8), and 2^d terms of at most
+# e^(d*clip/2) are far below overflow at e^709.8. Past it a row group keeps
+# the per-block row maximum; the default clip of 30 never does (degree 14
+# gives 270), clip 300 always does.
+_BOUND_SHIFT_MAX = 600.0
 
 
 class UnsupportedDegreeError(ValueError):
@@ -84,6 +97,7 @@ class LlrVector:
 
     llr: np.ndarray
     iterations: int = 0
+    stop_reason: str | None = None  # set by BP: "syndrome", "stable", "eps" or "max_iters"
 
     @property
     def hard(self) -> np.ndarray:
@@ -146,6 +160,7 @@ class _RowGroup:
         self.minus = (signs < 0).astype(np.float64)
         sums = w @ self.signs_t
         self.resid = -((u_rows[:, None] - sums) ** 2) / (2.0 * sigma2)
+        self.resid -= self.resid.max(axis=1, keepdims=True)
         self.c_msg = np.zeros_like(w)
 
     @classmethod
@@ -157,9 +172,11 @@ class _RowGroup:
     def update(self, belief: np.ndarray, damping: float, clip: float) -> None:
         v = np.clip(belief[self.idx] - self.c_msg, -clip, clip)
         half = v * 0.5
+        n, d = v.shape
+        row_max = (d / 2 + 2) * clip > _BOUND_SHIFT_MAX
         pos = np.empty_like(v)
         neg = np.empty_like(v)
-        n, step = len(v), max(1, _BLOCK_CFGS >> v.shape[1])
+        step = max(1, _BLOCK_CFGS >> d)
         buf = np.empty((min(n, step + 1), self.signs_t.shape[1]))
         s = 0
         while s < n:
@@ -168,7 +185,8 @@ class _RowGroup:
             e = s + step if n - s > step + 1 else n
             base = np.matmul(half[s:e], self.signs_t, out=buf[: e - s])
             base += self.resid[s:e]
-            base -= base.max(axis=1, keepdims=True)
+            if row_max:
+                base -= base.max(axis=1, keepdims=True)
             np.exp(base, out=base)
             np.matmul(base, self.plus, out=pos[s:e])
             np.matmul(base, self.minus, out=neg[s:e])  # not tot - pos: that cancellation costs ~6 digits
@@ -236,12 +254,14 @@ def _bp(groups: list, prior: np.ndarray, cfg: DecoderConfig, code) -> LlrVector:
     Stops once the hard decisions satisfy every check of ``code`` (when
     given) with no belief exactly 0, on hard decisions unchanged for 2
     straight iterations (4 with a code), or on a belief change below
-    ``convergence_eps``.
+    ``convergence_eps``; ``stop_reason`` names the rule that fired, or
+    ``"max_iters"`` when none did.
     """
     stable_run = 2 if code is None else 4
     belief = prior
     prev_bits: np.ndarray | None = None
     stable = 0
+    reason = "max_iters"
     for iterations in range(1, cfg.max_iters + 1):
         for g in groups:
             g.update(belief, cfg.damping, cfg.llr_clip)
@@ -250,19 +270,22 @@ def _bp(groups: list, prior: np.ndarray, cfg: DecoderConfig, code) -> LlrVector:
             g.accumulate(belief)
         bits = (belief < 0).astype(np.uint8)
         if code is not None and syndrome_ok(code, bits) and np.all(belief != 0):
+            reason = "syndrome"
             break
         if cfg.stop_on_stable_decisions:
             if prev_bits is not None and np.array_equal(bits, prev_bits):
                 stable += 1
                 if stable >= stable_run:
+                    reason = "stable"
                     break
             else:
                 stable = 0
         if cfg.convergence_eps > 0 and iterations > 1:
             if float(np.max(np.abs(belief - prev_belief))) < cfg.convergence_eps:
+                reason = "eps"
                 break
         prev_bits = bits
-    return LlrVector(llr=belief, iterations=iterations)
+    return LlrVector(llr=belief, iterations=iterations, stop_reason=reason)
 
 
 def bp_decode(

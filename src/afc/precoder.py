@@ -205,9 +205,8 @@ def syndrome_ok(code: LdpcCode, bits: np.ndarray) -> bool:
 
 
 def _phi(x: np.ndarray) -> np.ndarray:
-    """Self-inverse log-tanh transform -log(tanh(x/2)), stable at both ends."""
-    e = np.exp(-x)
-    return np.log1p(e) - np.log1p(-e)
+    """Self-inverse log-tanh transform -log(tanh(x/2)) = 2 atanh(e^-x)."""
+    return 2.0 * np.arctanh(np.exp(-x))
 
 
 def tanh_rule_messages(code: LdpcCode, v: np.ndarray) -> np.ndarray:
@@ -224,9 +223,10 @@ def tanh_rule_messages(code: LdpcCode, v: np.ndarray) -> np.ndarray:
     neg_ex = np.add.reduceat(neg, ptr)[code.edge_check] - neg
     sign = 1.0 - 2.0 * (neg_ex & 1)
     out = sign * _phi(np.clip(t_ex, _MAG_FLOOR, _MSG_CLIP))
-    zero = (v == 0).astype(np.int64)
-    zero_ex = np.add.reduceat(zero, ptr)[code.edge_check] - zero
-    out[zero_ex > 0] = 0.0
+    if not np.all(v):
+        zero = (v == 0).astype(np.int64)
+        zero_ex = np.add.reduceat(zero, ptr)[code.edge_check] - zero
+        out[zero_ex > 0] = 0.0
     return out
 
 
@@ -245,9 +245,8 @@ def ldpc_decode(code: LdpcCode, llr, max_iters: int = 50) -> tuple[np.ndarray, b
 
     prior = _finite_vector(llr, (code.n,), "llr")
     cfg = DecoderConfig(max_iters=max_iters, damping=0.0, stop_on_stable_decisions=False)
-    belief = _bp([_OuterChecks(code)], prior, cfg, code).llr
-    bits = (belief < 0).astype(np.uint8)
-    return bits[: code.k_msg], syndrome_ok(code, bits) and bool(np.all(belief != 0))
+    result = _bp([_OuterChecks(code)], prior, cfg, code)
+    return result.hard_bits[: code.k_msg], result.stop_reason == "syndrome"
 
 
 def save_code(code: LdpcCode, path) -> None:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afc.channel import snr_to_sigma
 from afc.core import (
@@ -19,6 +21,8 @@ from afc.core import (
 )
 from afc.decoder import (
     _BLOCK_CFGS,
+    _BOUND_SHIFT_MAX,
+    MAX_ENUM_DEGREE,
     DecoderConfig,
     LlrVector,
     UnsupportedDegreeError,
@@ -28,8 +32,9 @@ from afc.decoder import (
     decode_with_precode,
     ml_decode_bruteforce,
     _RowGroup,
+    _sign_matrix,
 )
-from afc.precoder import LdpcCode, ldpc_encode, ldpc_generate
+from afc.precoder import LdpcCode, ldpc_decode, ldpc_encode, ldpc_generate
 from afc.rng import substream
 
 RECIP = reciprocal_prime_weights()
@@ -246,7 +251,8 @@ def _unblocked_update(group, belief, damping, clip):
     v = np.clip(belief[group.idx] - group.c_msg, -clip, clip)
     base = (v * 0.5) @ group.signs_t
     base += group.resid
-    base -= base.max(axis=1, keepdims=True)
+    if (v.shape[1] / 2 + 2) * clip > _BOUND_SHIFT_MAX:
+        base -= base.max(axis=1, keepdims=True)
     np.exp(base, out=base)
     pos = np.maximum(base @ group.plus, 1e-300)
     neg = np.maximum(base @ group.minus, 1e-300)
@@ -288,16 +294,105 @@ class TestBlockedUpdate:
             want = damping * old[i] + (1.0 - damping) * new
             np.testing.assert_allclose(g.c_msg[i], want, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("d", [1, 2, 8])
-    @pytest.mark.parametrize("extra", [1, 5])
-    def test_bit_identical_to_unblocked(self, d, extra):
+    def assert_bit_identical_to_unblocked(self, d, extra, clip):
         # Up to degree 8 the sums have at most 256 terms, so BLAS adds them in
         # the same order for any number of rows above one; a last block of one
         # row would take its other order.
         g, _, _, belief = self.group(d, 2 * max(1, _BLOCK_CFGS >> d) + extra)
-        want = _unblocked_update(g, belief, 0.5, self.CLIP)
-        g.update(belief, 0.5, self.CLIP)
+        want = _unblocked_update(g, belief, 0.5, clip)
+        g.update(belief, 0.5, clip)
         assert np.array_equal(g.c_msg, want)
+
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    @pytest.mark.parametrize("extra", [1, 5])
+    def test_bit_identical_to_unblocked(self, d, extra):
+        self.assert_bit_identical_to_unblocked(d, extra, self.CLIP)
+
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    @pytest.mark.parametrize("extra", [1, 5])
+    def test_bit_identical_to_unblocked_row_max(self, d, extra):
+        # clip 300 is past the bound shift's guard: blocks take the row max
+        assert (d / 2 + 2) * 300.0 > _BOUND_SHIFT_MAX
+        self.assert_bit_identical_to_unblocked(d, extra, 300.0)
+
+
+def _rowmax_reference(w, u, sigma2, v, clip):
+    """The earlier check update, kept as reference: every row's log terms
+    shifted by their own maximum; ``v`` are the clipped incoming messages."""
+    signs_t = _sign_matrix(w.shape[1]).T.copy()  # the layout _RowGroup sums with
+    resid = -((u[:, None] - w @ signs_t) ** 2) / (2.0 * sigma2)
+    base = (v * 0.5) @ signs_t + resid
+    base -= base.max(axis=1, keepdims=True)
+    np.exp(base, out=base)
+    plus = np.maximum(base @ (signs_t.T > 0), 1e-300)
+    minus = np.maximum(base @ (signs_t.T < 0), 1e-300)
+    return np.clip(np.log(plus) - np.log(minus) - v, -clip, clip)
+
+
+# Clips on both sides of the bound shift's guard: 100 keeps the row max from
+# degree 9 up, 300 at every degree.
+GUARD_CLIPS = [5.0, 30.0, 40.0, 100.0, 300.0]
+
+
+@st.composite
+def check_rows(draw, max_rows=1):
+    """Rows of one degree: weights, observations near a noisy codeword sum,
+    sigma2, the clip, and incoming messages up to 1.3 clip."""
+    d = draw(st.integers(1, MAX_ENUM_DEGREE), label="d")
+    rows = draw(st.integers(1, max_rows if d <= 10 else min(max_rows, 2)), label="rows")
+    sigma2 = draw(st.floats(1e-12, 1.0), label="sigma2")
+    clip = draw(st.sampled_from(GUARD_CLIPS), label="clip")
+    mag = st.floats(0.02, 1.0)
+    w = np.array([[draw(mag) * draw(st.sampled_from([-1.0, 1.0])) for _ in range(d)] for _ in range(rows)])
+    bits = np.array([[draw(st.sampled_from([-1.0, 1.0])) for _ in range(d)] for _ in range(rows)])
+    noise = np.array([draw(st.floats(-3.0, 3.0)) for _ in range(rows)])
+    u = (w * bits).sum(axis=1) + math.sqrt(sigma2) * noise
+    lam = st.floats(-1.3 * clip, 1.3 * clip)
+    msgs = np.array([[draw(lam) for _ in range(d)] for _ in range(rows)])
+    return w, u, sigma2, clip, msgs
+
+
+class TestBoundShift:
+    """The bound-shifted update against the per-row maximum it replaced."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(check_rows())
+    def test_single_row_matches_row_max(self, row):
+        w, u, sigma2, clip, lam = row
+        want = _rowmax_reference(w, u, sigma2, np.clip(lam, -clip, clip), clip)
+        got = check_to_var_messages(w[0], u[0], sigma2, lam[0], clip)
+        np.testing.assert_allclose(got, want[0], rtol=0, atol=1e-11)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(check_rows(max_rows=6), st.sampled_from([0.0, 0.5]))
+    def test_row_group_matches_row_max(self, rows, damping):
+        w, u, sigma2, clip, lam = rows
+        n, d = w.shape
+        # each row reads its own variables, with an old message on every edge
+        idx = np.arange(n * d).reshape(n, d)
+        g = _RowGroup(idx, w, u, sigma2)
+        g.c_msg = np.linspace(-clip, clip, n * d).reshape(n, d)
+        belief = lam.ravel() + g.c_msg.ravel()
+        v = np.clip(belief[idx] - g.c_msg, -clip, clip)
+        want = damping * g.c_msg + (1.0 - damping) * _rowmax_reference(w, u, sigma2, v, clip)
+        g.update(belief, damping, clip)
+        np.testing.assert_allclose(g.c_msg, want, rtol=0, atol=1e-11)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(check_rows(), st.data())
+    def test_sign_symmetry(self, row, data):
+        w, u, sigma2, clip, lam = row[0][0], row[1][0], row[2], row[3], row[4][0]
+        out = check_to_var_messages(w, u, sigma2, lam, clip)
+        assert np.all(np.isfinite(out))
+        # flipping variable j's weight and prior relabels b_j: message j flips
+        j = data.draw(st.integers(0, len(w) - 1), label="j")
+        flip = np.ones(len(w))
+        flip[j] = -1.0
+        np.testing.assert_allclose(
+            check_to_var_messages(w * flip, u, sigma2, lam * flip, clip), out * flip, rtol=0, atol=1e-11
+        )
+        # flipping the observation and every prior flips every message
+        np.testing.assert_allclose(check_to_var_messages(w, -u, sigma2, -lam, clip), -out, rtol=0, atol=1e-11)
 
 
 class TestMlBruteforce:
@@ -417,6 +512,37 @@ class TestEntryPointInputs:
 def test_check_to_var_refuses_what_entry_points_refuse(u_i, sigma2, incoming):
     with pytest.raises(ValueError):
         check_to_var_messages(np.array([0.5, 1 / 3]), u_i, sigma2, np.array(incoming))
+
+
+class TestStopReason:
+    """Every decode says which rule ended it."""
+
+    def noiseless(self, seed):
+        g = build_graph(16, 32, D8, RECIP, PERM, substream(seed, 1))
+        b = bits_to_bpsk(substream(seed, 2).integers(0, 2, 16))
+        return g, encode(g, b)
+
+    def test_syndrome(self):
+        code = ldpc_generate(200, 0.95, 3, substream(30, 1))
+        g = build_graph(code.n, 220, D8, RECIP, BAL, substream(3, 31))
+        b = bits_to_bpsk(ldpc_encode(code, substream(3, 32).integers(0, 2, code.k_msg)))
+        res = bp_decode_joint(g, encode(g, b), 1e-12, code)
+        assert res.stop_reason == "syndrome"
+        bits, converged = ldpc_decode(code, res.llr)  # the outer decoder reports the same rule
+        assert converged and np.array_equal(bits, res.hard_bits[: code.k_msg])
+
+    def test_stable(self):
+        res = bp_decode(*self.noiseless(12), 1e-12, DecoderConfig(max_iters=50))
+        assert res.stop_reason == "stable" and res.iterations < 50
+
+    def test_eps(self):
+        cfg = DecoderConfig(max_iters=50, convergence_eps=1e-3, stop_on_stable_decisions=False)
+        res = bp_decode(*self.noiseless(12), 1e-12, cfg)
+        assert res.stop_reason == "eps" and res.iterations < 50
+
+    def test_max_iters(self):
+        res = bp_decode(*self.noiseless(12), 1e-12, DecoderConfig(max_iters=1))
+        assert res.stop_reason == "max_iters" and res.iterations == 1
 
 
 class TestLlrVector:

@@ -328,6 +328,42 @@ class TestDecode:
             ldpc_decode(code, bad(code.n))
 
 
+def _textbook_tanh_rule(code: LdpcCode, v: np.ndarray) -> np.ndarray:
+    """2 atanh(prod_{k != j} tanh(v_k / 2)) for every edge j, one check at a time."""
+    out = np.empty(len(v))
+    for c in range(code.m):
+        edges = range(code.check_ptr[c], code.check_ptr[c + 1])
+        for j in edges:
+            prod = np.prod([np.tanh(v[k] / 2.0) for k in edges if k != j])
+            out[j] = 2.0 * np.arctanh(prod)
+    return out
+
+
+class TestTanhRule:
+    """``tanh_rule_messages`` against the textbook rule, not against itself."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_textbook_rule(self, data):
+        n = data.draw(st.integers(4, 30), label="n")
+        m = data.draw(st.integers(1, n // 2), label="m")
+        rows = [
+            np.sort(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=min(n, 8), unique=True)))
+            for _ in range(m)
+        ]
+        small = LdpcCode(n, n - m, rows, np.zeros((m, n - m), dtype=np.uint8))
+        # magnitudes where neither side clips: every leave-one-out sum of
+        # -log tanh(|v|/2) stays inside [1e-12, 30]
+        mag = st.floats(0.05, 8.0)
+        v = np.array([data.draw(mag) * data.draw(st.sampled_from([-1.0, 1.0])) for _ in small.edge_var])
+        if data.draw(st.booleans(), label="erasures"):
+            v[data.draw(st.lists(st.integers(0, len(v) - 1), min_size=1, max_size=3))] = 0.0
+        want = _textbook_tanh_rule(small, v)
+        got = tanh_rule_messages(small, v)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+        assert np.all(got[want == 0.0] == 0.0)
+
+
 class TestSerialization:
     def test_roundtrip(self, code, tmp_path):
         path = tmp_path / "code.txt"
