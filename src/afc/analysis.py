@@ -33,6 +33,7 @@ from .core import (
     FactorGraph,
     WeightAssignment,
     WeightSet,
+    _assign_weights,
     reciprocal_weights,
     weight_second_moment,
 )
@@ -60,7 +61,6 @@ __all__ = [
     "error_floor_bound",
 ]
 
-_FLOAT_ZERO_TOL = 1e-12
 _ENUM_CAP = 2_000_000
 _ORACLE_MAX_VARS = 20
 
@@ -141,8 +141,13 @@ def difference_projection(graph: FactorGraph, b: np.ndarray, flip_set: Sequence[
 # ---------------------------------------------------------------------------
 
 
-def _to_exact(values: Sequence) -> tuple[Fraction, ...] | None:
-    """Fractions for inputs that are exactly representable, else None."""
+def _to_exact(values: Sequence) -> tuple[Fraction, ...]:
+    """``values`` as Fractions: Fractions, integers and integer-valued floats.
+
+    Any other value raises ValueError. A float such as 0.1 is a binary
+    rational near the one meant, and zero tests on it certify that other
+    number, so the caller must pass the rational itself.
+    """
     out = []
     for v in values:
         if isinstance(v, Fraction):
@@ -152,14 +157,12 @@ def _to_exact(values: Sequence) -> tuple[Fraction, ...] | None:
         elif isinstance(v, float) and v.is_integer():
             out.append(Fraction(int(v)))
         else:
-            return None
+            raise ValueError(f"{v!r} is not an exact rational; pass a Fraction or an integer")
     return tuple(out)
 
 
-def _exact_weights(ws: WeightSet) -> tuple[Fraction, ...] | None:
-    if ws.exact is not None:
-        return ws.exact
-    return _to_exact(ws.values)
+def _exact_weights(ws: WeightSet) -> tuple[Fraction, ...]:
+    return _to_exact(ws.exact or ws.values)
 
 
 def _exact_probs(ws: WeightSet) -> tuple[Fraction, ...]:
@@ -207,20 +210,13 @@ def unique_solution_oracle(weights: Sequence, u) -> int:
     l = len(weights)
     if l > _ORACLE_MAX_VARS:
         raise EnumerationCapError(f"{l} variables exceeds the enumeration bound {_ORACLE_MAX_VARS}")
-    exact = _to_exact(weights)
-    if exact is not None and not isinstance(u, float):
-        table = signed_sum_table(exact)
-        return table.get(Fraction(u), 0)
-    table = signed_sum_table([float(w) for w in weights])
-    return sum(c for s, c in table.items() if abs(s - float(u)) <= _FLOAT_ZERO_TOL)
+    (target,) = _to_exact([u])
+    return signed_sum_table(_to_exact(weights)).get(target, 0)
 
 
 def unique_solution_fraction(weights: Sequence) -> Fraction:
     """Fraction of sign vectors whose sum identifies them uniquely."""
-    exact = _to_exact(weights)
-    if exact is None:
-        raise ValueError("exact fraction requires rational weights")
-    table = signed_sum_table(exact)
+    table = signed_sum_table(_to_exact(weights))
     unique = sum(1 for c in table.values() if c == 1)
     return Fraction(unique, 2 ** len(weights))
 
@@ -238,20 +234,19 @@ class ConditionCheck(NamedTuple):
         return self.ok
 
 
-def _enumerate_coefficients(values: Sequence, max_nonzero: int, exact: bool) -> ConditionCheck:
+def _enumerate_coefficients(values: Sequence, max_nonzero: int) -> ConditionCheck:
     n = len(values)
     if 3**n > _ENUM_CAP:
         raise EnumerationCapError(
             f"3^{n} coefficient vectors exceed the enumeration cap; "
             "spot-check with random sampling instead"
         )
+    values = _to_exact(values)
     for coeffs in product((-1, 0, 1), repeat=n):
         nnz = sum(1 for c in coeffs if c)
         if nnz == 0 or nnz > max_nonzero:
             continue
-        s = sum(c * v for c, v in zip(coeffs, values))
-        zero = (s == 0) if exact else (abs(s) <= _FLOAT_ZERO_TOL)
-        if zero:
+        if sum(c * v for c, v in zip(coeffs, values)) == 0:
             witness = tuple((c, v) for c, v in zip(coeffs, values) if c)
             return ConditionCheck(False, witness)
     return ConditionCheck(True, None)
@@ -267,8 +262,9 @@ def check_nonzero_condition(
     Accepts either a WeightSet (rows draw up to ``d`` members under
     ``assignment``) or an explicit row template of signed weights, possibly
     with repeats. Returns the violating signed assignment when one exists.
-    Rational weights are checked in exact arithmetic; floats fall back to a
-    1e-12 zero tolerance.
+    The check runs in exact rational arithmetic: weights must be Fractions,
+    integers or integer-valued floats (a set's ``exact`` values when it has
+    them), and any other value raises ValueError.
     """
     if isinstance(weights, WeightSet):
         ws = weights
@@ -276,20 +272,14 @@ def check_nonzero_condition(
         if d < 1:
             raise ValueError("degree must be >= 1")
         if assignment is WeightAssignment.WITH_REPLACEMENT and d >= 2:
-            w0 = (ws.exact or ws.values)[0]
+            w0 = _exact_weights(ws)[0]
             return ConditionCheck(False, ((1, w0), (-1, w0)))
-        exact_vals = _exact_weights(ws)
-        if exact_vals is not None:
-            return _enumerate_coefficients(exact_vals, d, exact=True)
-        return _enumerate_coefficients(ws.values, d, exact=False)
+        return _enumerate_coefficients(ws.exact or ws.values, d)
 
     template = list(weights)
     if d is not None and d != len(template):
         raise ValueError("row template length must equal its degree")
-    exact_vals = _to_exact(template)
-    if exact_vals is not None:
-        return _enumerate_coefficients(exact_vals, len(template), exact=True)
-    return _enumerate_coefficients(template, len(template), exact=False)
+    return _enumerate_coefficients(template, len(template))
 
 
 # ---------------------------------------------------------------------------
@@ -309,32 +299,17 @@ def extension_collision_prob(weights: Sequence, ws: WeightSet):
     l = len(weights)
     if l < 2:
         raise ValueError("need at least two equation weights")
-    exact_vals = _to_exact(weights)
+    table = signed_sum_table(_to_exact(weights))
     set_vals = _exact_weights(ws)
-    if exact_vals is not None and set_vals is not None:
-        table = signed_sum_table(exact_vals)
-        tot = 2**l
-        p_zero = Fraction(table.get(Fraction(0), 0), tot)
-        if p_zero == 1:
-            raise DegenerateEquationError("every sign assignment sums to zero")
-        probs = _exact_probs(ws)
-        acc = Fraction(0)
-        for q, a in zip(probs, set_vals):
-            hits = table.get(a, 0) + table.get(-a, 0)
-            acc += q * Fraction(hits, tot) / (1 - p_zero)
-        return acc / 2
-
-    fvals = [float(w) for w in weights]
-    table = signed_sum_table(fvals)
-    tot = float(2**l)
-    p_zero = sum(c for s, c in table.items() if abs(s) <= _FLOAT_ZERO_TOL) / tot
-    if p_zero >= 1.0:
+    tot = 2**l
+    p_zero = Fraction(table.get(Fraction(0), 0), tot)
+    if p_zero == 1:
         raise DegenerateEquationError("every sign assignment sums to zero")
-    acc = 0.0
-    for q, a in zip(ws.probs, ws.values):
-        hits = sum(c for s, c in table.items() if abs(abs(s) - a) <= _FLOAT_ZERO_TOL)
-        acc += q * (hits / tot) / (1.0 - p_zero)
-    return acc / 2.0
+    acc = Fraction(0)
+    for q, a in zip(_exact_probs(ws), set_vals):
+        hits = table.get(a, 0) + table.get(-a, 0)
+        acc += q * Fraction(hits, tot) / (1 - p_zero)
+    return acc / 2
 
 
 @dataclass(frozen=True)
@@ -351,12 +326,6 @@ class UniqueSolutionReport:
         return 1 - self.e_l
 
 
-def _point_mass(value) -> WeightSet:
-    if isinstance(value, Fraction):
-        return WeightSet((float(value),), (1.0,), (value,))
-    return WeightSet((float(value),), (1.0,))
-
-
 def ambiguity_recursion(weights: Sequence, l_max: int, ws: WeightSet | None = None) -> UniqueSolutionReport:
     """Non-uniqueness probability e_l of sum_{i<=l} b_i w_i = u, built recursively.
 
@@ -371,16 +340,12 @@ def ambiguity_recursion(weights: Sequence, l_max: int, ws: WeightSet | None = No
         raise ValueError("l_max must be >= 2")
     if len(weights) < l_max:
         raise ValueError("need l_max weights")
-    exact_vals = _to_exact(weights[:l_max])
-    vals: Sequence = exact_vals if exact_vals is not None else [float(w) for w in weights[:l_max]]
-    if exact_vals is not None:
-        e = Fraction(1, 2) if vals[0] == vals[1] else Fraction(0)
-    else:
-        e = 0.5 if abs(vals[0] - vals[1]) <= _FLOAT_ZERO_TOL else 0.0
+    vals = _to_exact(weights[:l_max])
+    e = Fraction(1, 2) if vals[0] == vals[1] else Fraction(0)
     e_trace = [e]
     E_trace = []
     for l in range(2, l_max):
-        step_ws = ws if ws is not None else _point_mass(vals[l])
+        step_ws = ws if ws is not None else WeightSet.uniform_exact((vals[l],))
         E = extension_collision_prob(vals[:l], step_ws)
         e = 1 - (1 - E) * (1 - e)
         E_trace.append(E)
@@ -430,25 +395,16 @@ def _sample_symbol_sums(
     assignment: WeightAssignment,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    values = ws.as_array()
-    f = ws.f
-    if assignment is WeightAssignment.PERMUTATION_OF_SET or (
-        assignment is WeightAssignment.WITHOUT_REPLACEMENT and d == f
-    ):
-        if d != f:
-            raise ValueError("permutation assignment requires d == f")
+    if assignment.whole_set or (assignment is WeightAssignment.WITHOUT_REPLACEMENT and d == ws.f):
+        if d != ws.f:
+            raise ValueError(f"{assignment.value} assignment requires d == f")
         # every row carries all f values; only the signs matter for the sum
-        signs = rng.integers(0, 2, size=(count, f)).astype(np.float64) * 2.0 - 1.0
-        return signs @ values
-    if assignment is WeightAssignment.WITHOUT_REPLACEMENT:
-        if d > f:
-            raise ValueError("degree exceeds weight set size")
-        if not ws.uniform:
-            raise ValueError("non-uniform draw without replacement is not supported here")
-        cols = np.argsort(rng.random((count, f)), axis=1)[:, :d]
-        rows = values[cols]
-    else:
-        rows = rng.choice(values, size=(count, d), p=ws.probs)
+        signs = rng.integers(0, 2, size=(count, d)).astype(np.float64) * 2.0 - 1.0
+        return signs @ ws.as_array()
+    if assignment is WeightAssignment.WITHOUT_REPLACEMENT and not ws.uniform:
+        # the encoder draws these row by row in Python, too slow for millions of rows
+        raise ValueError("non-uniform draw without replacement is not supported here")
+    rows = _assign_weights(ws, np.broadcast_to(d, count), assignment, rng).reshape(count, d)
     signs = rng.integers(0, 2, size=(count, d)).astype(np.float64) * 2.0 - 1.0
     return (rows * signs).sum(axis=1)
 
@@ -473,7 +429,8 @@ def gaussian_fit_check(
 
     The default draws each of the d signed weights i.i.d. from the set, the
     same model under which the symbol variance d * E[w^2] is derived. Forcing
-    all d = f members into every row (permutation assignment) concentrates the
+    all d = f members into every row (permutation or balanced-permutation
+    assignment, which differ only in where the members go) concentrates the
     sum on 2^f atoms and measurably worsens the Gaussian fit.
     """
     if delta <= 0 or eps <= 0:
@@ -562,11 +519,7 @@ def _propose(family: CandidateFamily, f: int, attempt: int, rng: np.random.Gener
         if fr not in fracs:
             fracs.append(fr)
     fracs.sort(reverse=True)
-    return WeightSet(
-        values=tuple(float(x) for x in fracs),
-        probs=tuple(1.0 / f for _ in fracs),
-        exact=tuple(fracs),
-    )
+    return WeightSet.uniform_exact(fracs)
 
 
 def search_weight_set(

@@ -30,6 +30,7 @@ from .core import (
     zero_sum_row_template,
 )
 from .harness import (
+    VARIANTS,
     ExperimentConfig,
     config_from_mapping,
     parse_config_file,
@@ -78,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
     p_ber = sub.add_parser("ber-sweep", help="BER vs rate at fixed SNR")
     _sweep_flags(p_ber)
     p_ber.add_argument("--rates", help="comma-separated rate grid (message bits per complex use)")
-    p_ber.add_argument("--variants", help="subset of: " + ",".join(("uniform", "min-degree", "min-degree+precode")))
+    p_ber.add_argument("--variants", help="subset of: " + ",".join(VARIANTS))
 
     p_thr = sub.add_parser("throughput-sweep", help="achievable rate vs SNR at target BER")
     _sweep_flags(p_thr)

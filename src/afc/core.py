@@ -87,16 +87,20 @@ class WeightSet:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=np.float64)
 
+    @classmethod
+    def uniform_exact(cls, fractions: Sequence[Fraction]) -> "WeightSet":
+        """Uniform set over the given rationals, carried as ``exact`` too."""
+        exact = tuple(fractions)
+        return cls(
+            values=tuple(float(e) for e in exact),
+            probs=tuple(1.0 / len(exact) for _ in exact),
+            exact=exact,
+        )
+
 
 def reciprocal_weights(denominators: Sequence[int]) -> WeightSet:
     """Uniform weight set {1/n : n in denominators}, kept exact."""
-    exact = tuple(Fraction(1, int(n)) for n in denominators)
-    f = len(exact)
-    return WeightSet(
-        values=tuple(float(e) for e in exact),
-        probs=tuple(1.0 / f for _ in exact),
-        exact=exact,
-    )
+    return WeightSet.uniform_exact(Fraction(1, int(n)) for n in denominators)
 
 
 def reciprocal_prime_weights() -> WeightSet:
@@ -159,6 +163,11 @@ class WeightAssignment(Enum):
     # magnitudes go to the variables with the least accumulated weight power,
     # so no variable ends up observed only through the small set members.
     BALANCED_PERMUTATION = "balanced-permutation"
+
+    @property
+    def whole_set(self) -> bool:
+        """Every row carries all members of the set, each once."""
+        return self in (WeightAssignment.PERMUTATION_OF_SET, WeightAssignment.BALANCED_PERMUTATION)
 
 
 @dataclass(frozen=True)

@@ -79,7 +79,6 @@ class DecoderConfig:
     max_iters: int = 60
     damping: float = 0.5
     llr_clip: float = 30.0
-    convergence_eps: float = 0.0  # 0 disables the belief-change stop
     stop_on_stable_decisions: bool = True
 
     def __post_init__(self) -> None:
@@ -97,7 +96,7 @@ class LlrVector:
 
     llr: np.ndarray
     iterations: int = 0
-    stop_reason: str | None = None  # set by BP: "syndrome", "stable", "eps" or "max_iters"
+    stop_reason: str | None = None  # set by BP: "syndrome", "stable" or "max_iters"
 
     @property
     def hard(self) -> np.ndarray:
@@ -158,9 +157,14 @@ class _RowGroup:
         self.signs_t = signs.T.copy()
         self.plus = (signs > 0).astype(np.float64)
         self.minus = (signs < 0).astype(np.float64)
-        sums = w @ self.signs_t
-        self.resid = -((u_rows[:, None] - sums) ** 2) / (2.0 * sigma2)
-        self.resid -= self.resid.max(axis=1, keepdims=True)
+        # -(u - sums)^2 / (2 sigma2), built in the product's buffer rather
+        # than through four (rows, 2^d) temporaries
+        resid = w @ self.signs_t
+        np.subtract(u_rows[:, None], resid, out=resid)
+        np.square(resid, out=resid)
+        resid /= -(2.0 * sigma2)
+        resid -= resid.max(axis=1, keepdims=True)
+        self.resid = resid
         self.c_msg = np.zeros_like(w)
 
     @classmethod
@@ -252,10 +256,9 @@ def _bp(groups: list, prior: np.ndarray, cfg: DecoderConfig, code) -> LlrVector:
     then the beliefs are rebuilt as prior plus all check messages.
 
     Stops once the hard decisions satisfy every check of ``code`` (when
-    given) with no belief exactly 0, on hard decisions unchanged for 2
-    straight iterations (4 with a code), or on a belief change below
-    ``convergence_eps``; ``stop_reason`` names the rule that fired, or
-    ``"max_iters"`` when none did.
+    given) with no belief exactly 0, or on hard decisions unchanged for 2
+    straight iterations (4 with a code); ``stop_reason`` names the rule that
+    fired, or ``"max_iters"`` when none did.
     """
     stable_run = 2 if code is None else 4
     belief = prior
@@ -265,7 +268,7 @@ def _bp(groups: list, prior: np.ndarray, cfg: DecoderConfig, code) -> LlrVector:
     for iterations in range(1, cfg.max_iters + 1):
         for g in groups:
             g.update(belief, cfg.damping, cfg.llr_clip)
-        prev_belief, belief = belief, prior.copy()
+        belief = prior.copy()
         for g in groups:
             g.accumulate(belief)
         bits = (belief < 0).astype(np.uint8)
@@ -280,10 +283,6 @@ def _bp(groups: list, prior: np.ndarray, cfg: DecoderConfig, code) -> LlrVector:
                     break
             else:
                 stable = 0
-        if cfg.convergence_eps > 0 and iterations > 1:
-            if float(np.max(np.abs(belief - prev_belief))) < cfg.convergence_eps:
-                reason = "eps"
-                break
         prev_bits = bits
     return LlrVector(llr=belief, iterations=iterations, stop_reason=reason)
 

@@ -106,8 +106,7 @@ class ExperimentConfig:
         if not 1 <= self.degree <= MAX_ENUM_DEGREE:
             raise ValueError(f"degree must lie in [1, {MAX_ENUM_DEGREE}]")
         f = resolve_weight_set(self.weight_set).f
-        whole_set = (WeightAssignment.PERMUTATION_OF_SET, WeightAssignment.BALANCED_PERMUTATION)
-        if assignment in whole_set and self.degree != f:
+        if assignment.whole_set and self.degree != f:
             raise ValueError(f"{self.assignment} assignment needs degree == weight set size {f}")
         if assignment is WeightAssignment.WITHOUT_REPLACEMENT and self.degree > f:
             raise ValueError(f"degree exceeds weight set size {f} for draw without replacement")
@@ -153,13 +152,7 @@ def resolve_weight_set(spec: str) -> WeightSet:
     """Weight set from its config name: 'reciprocal-primes' or values like '1/2,1/3'."""
     if spec == "reciprocal-primes":
         return reciprocal_prime_weights()
-    parts = [p.strip() for p in spec.split(",") if p.strip()]
-    fracs = [Fraction(p) for p in parts]
-    return WeightSet(
-        values=tuple(float(x) for x in fracs),
-        probs=tuple(1.0 / len(fracs) for _ in fracs),
-        exact=tuple(fracs),
-    )
+    return WeightSet.uniform_exact(Fraction(p.strip()) for p in spec.split(",") if p.strip())
 
 
 class _VariantSetup:
@@ -374,18 +367,13 @@ def _variant_path(out: str, variant: str) -> str:
 def emit_csv(result: SweepResult, path, gnuplot: bool = False) -> None:
     """One header row then one data row per point; floats use repr so a
     parse round-trips exactly and a rerun is byte-identical."""
-    lines = [",".join(CSV_COLUMNS)]
-    for pt in result.points:
-        lines.append(",".join(str(x) for x in pt.csv_row()))
-    text = "\n".join(lines) + "\n"
+    table = [CSV_COLUMNS, *([str(x) for x in pt.csv_row()] for pt in result.points)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(",".join(row) + "\n" for row in table)
     if gnuplot:
-        gp = ["# " + " ".join(CSV_COLUMNS)]
-        for pt in result.points:
-            gp.append(" ".join(str(x) for x in pt.csv_row()))
         with open(str(path) + ".gnuplot.dat", "w", encoding="utf-8") as fh:
-            fh.write("\n".join(gp) + "\n")
+            fh.write("# ")
+            fh.writelines(" ".join(row) + "\n" for row in table)
 
 
 def parse_csv(path) -> list[SweepPoint]:

@@ -184,6 +184,48 @@ class TestNonzeroCondition:
             check_nonzero_condition(ws, 14)
 
 
+class TestExactInputs:
+    """The certificates run in exact arithmetic: a float that is not an
+    integer is refused rather than tested for zero in binary floating point."""
+
+    FLOAT_SET = WeightSet((0.5, 0.25, 0.2), (1 / 3, 1 / 3, 1 / 3))
+
+    def test_float_set_rejected_by_condition(self):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            check_nonzero_condition(self.FLOAT_SET, 3)
+        with pytest.raises(ValueError, match="not an exact rational"):
+            check_nonzero_condition(self.FLOAT_SET, 2, WeightAssignment.WITH_REPLACEMENT)
+
+    def test_float_template_rejected(self):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            check_nonzero_condition([0.5, 0.25])
+
+    def test_float_target_rejected_by_oracle(self):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            unique_solution_oracle([Fraction(1, 2), Fraction(1, 4)], 0.5)
+
+    def test_float_set_rejected_by_collision_prob(self):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            extension_collision_prob([Fraction(1, 2), Fraction(1, 3)], self.FLOAT_SET)
+
+    def test_float_weights_rejected_by_recursion(self):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            ambiguity_recursion([0.5, 0.25, 0.2], 3)
+
+    def test_integer_valued_floats_accepted(self):
+        res = check_nonzero_condition([1.0, 2.0, 3.0])
+        assert not res.ok and all(isinstance(w, Fraction) for _, w in res.witness)
+        assert unique_solution_oracle([1.0, np.int64(2)], 3.0) == 1
+
+    def test_exact_set_catches_what_binary_values_miss(self):
+        # the binary values of 1/3 and 1/6 do not sum to that of 1/2, so an
+        # exact test on the floats would pass a set whose rationals cancel
+        assert Fraction(1 / 3) + Fraction(1 / 6) != Fraction(1 / 2)
+        ws = WeightSet.uniform_exact([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
+        res = check_nonzero_condition(ws, 3)
+        assert not res.ok and sum(c * w for c, w in res.witness) == 0
+
+
 class TestSumTable:
     def test_two_distinct(self):
         table = signed_sum_table([Fraction(1), Fraction(2)])
@@ -318,6 +360,28 @@ class TestGaussianFit:
         rng = substream(777, 2)
         report = gaussian_fit_check(ws, 1, 0.2, 1e-4, 200_000, rng)
         assert not report.satisfied
+
+    def test_balanced_rows_carry_the_whole_set(self):
+        # balanced placement differs from a permutation only across variables:
+        # each row still holds all f members, so the symbol law is the same
+        reports = [
+            gaussian_fit_check(RECIP, 8, 0.2, 1e-4, 200_000, np.random.default_rng(5), a)
+            for a in (WeightAssignment.BALANCED_PERMUTATION, WeightAssignment.PERMUTATION_OF_SET)
+        ]
+        assert reports[0] == reports[1]
+        assert not reports[0].satisfied
+
+    @pytest.mark.parametrize(
+        "ws, d, assignment",
+        [
+            (RECIP, 7, WeightAssignment.BALANCED_PERMUTATION),
+            (RECIP, 7, WeightAssignment.PERMUTATION_OF_SET),
+            (WeightSet((1.0, 2.0, 3.0), (0.5, 0.25, 0.25)), 2, WeightAssignment.WITHOUT_REPLACEMENT),
+        ],
+    )
+    def test_unsupported_draws_rejected(self, ws, d, assignment):
+        with pytest.raises(ValueError):
+            gaussian_fit_check(ws, d, 0.2, 1e-4, 1000, np.random.default_rng(0), assignment)
 
     def test_csv_layout(self, tmp_path):
         rng = substream(777, 3)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,6 +65,14 @@ class TestWeightSet:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             WeightSet((), ())
+        with pytest.raises(ValueError, match="at least one member"):
+            WeightSet.uniform_exact([])
+
+    def test_uniform_exact(self):
+        ws = WeightSet.uniform_exact([Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)])
+        assert ws.exact == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5))
+        assert ws.values == (0.5, 1 / 3, 0.2)
+        assert ws.probs == (1 / 3, 1 / 3, 1 / 3)
 
     def test_second_moment(self):
         # (1/8) * sum of squared reciprocals of the first eight primes

@@ -5,6 +5,7 @@ import pytest
 
 from afc.cli import main as cli_main
 from afc.harness import (
+    CSV_COLUMNS,
     ExperimentConfig,
     SweepPoint,
     SweepResult,
@@ -252,7 +253,8 @@ class TestCli:
     def test_weights_check_zero_sum(self, capsys):
         rc = cli_main(["weights", "check", "--zero-sum-template"])
         assert rc == 1
-        assert "FAIL" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL: zero sum witness:") and out.rstrip().endswith("= 0")
 
     def test_ber_sweep_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -262,13 +264,17 @@ class TestCli:
             "--variants", "min-degree", "--out", str(out),
         ])
         assert rc == 0
-        assert (tmp_path / "sweep_min-degree.csv").exists()
+        lines = (tmp_path / "sweep_min-degree.csv").read_text().splitlines()
+        assert lines[0] == ",".join(CSV_COLUMNS) and len(lines) == 2
 
     def test_unique_solution_report(self, capsys):
         rc = cli_main(["analyze", "unique-solution", "--weights", "1/2,1/3,1/5"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "e_3 = 0" in out
+        assert cli_main(["analyze", "unique-solution", "--weights", "1,1,2"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == ["e_3 = 3/4 (unique-solution fraction 1/4)", "  step 2 -> 3: collision prob 1/2, e = 3/4"]
 
     def test_config_file_drives_sweep(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.txt"
@@ -287,10 +293,12 @@ class TestCli:
             "analyze", "shaping", "--samples", "100000", "--out", str(out),
         ])
         assert rc == 0
-        assert out.exists()
+        n_bins = int(capsys.readouterr().out.split(" over ")[1].split()[0])
+        lines = out.read_text().splitlines()
+        assert lines[0] == "bin_index,p_hat,q_ref,gap_sq" and len(lines) == n_bins + 1
 
     def test_pairwise_report(self, capsys):
         rc = cli_main(["analyze", "pairwise", "--flips", "0,1", "--mc-draws", "2000"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "closed form" in out
+        assert "closed form" in out and "over 2000 draws" in out
