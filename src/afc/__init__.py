@@ -12,17 +12,14 @@ from .core import (
     FactorGraph,
     InvalidConfigurationError,
     Selection,
-    SymbolBlock,
     WeightAssignment,
     WeightSet,
     bits_to_bpsk,
     build_graph,
     encode,
-    normalize_power,
     power_scale,
     reciprocal_prime_weights,
     reciprocal_weights,
-    sample_degree,
     weight_second_moment,
     zero_sum_row_template,
 )

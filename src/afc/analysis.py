@@ -259,9 +259,12 @@ def check_nonzero_condition(
 ) -> ConditionCheck:
     """Certify that no signed sub-selection of row weights sums to zero.
 
-    Accepts either a WeightSet (rows draw up to ``d`` members under
-    ``assignment``) or an explicit row template of signed weights, possibly
-    with repeats. Returns the violating signed assignment when one exists.
+    Accepts either a WeightSet (rows of degree ``d``, f by default, drawn
+    under ``assignment``) or an explicit row template of signed weights,
+    possibly with repeats. A (set, d, assignment) the encoder refuses to
+    build raises InvalidConfigurationError, a ValueError; with replacement
+    any d >= 2 fails, since a row may repeat a member. Returns the violating
+    signed assignment when one exists.
     The check runs in exact rational arithmetic: weights must be Fractions,
     integers or integer-valued floats (a set's ``exact`` values when it has
     them), and any other value raises ValueError.
@@ -269,8 +272,7 @@ def check_nonzero_condition(
     if isinstance(weights, WeightSet):
         ws = weights
         d = ws.f if d is None else d
-        if d < 1:
-            raise ValueError("degree must be >= 1")
+        assignment.check_degrees([d], ws.f)
         if assignment is WeightAssignment.WITH_REPLACEMENT and d >= 2:
             w0 = _exact_weights(ws)[0]
             return ConditionCheck(False, ((1, w0), (-1, w0)))
@@ -395,9 +397,9 @@ def _sample_symbol_sums(
     assignment: WeightAssignment,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    if assignment.whole_set or (assignment is WeightAssignment.WITHOUT_REPLACEMENT and d == ws.f):
-        if d != ws.f:
-            raise ValueError(f"{assignment.value} assignment requires d == f")
+    if assignment is WeightAssignment.BALANCED_PERMUTATION or (
+        assignment is WeightAssignment.WITHOUT_REPLACEMENT and d == ws.f
+    ):
         # every row carries all f values; only the signs matter for the sum
         signs = rng.integers(0, 2, size=(count, d)).astype(np.float64) * 2.0 - 1.0
         return signs @ ws.as_array()
@@ -429,10 +431,13 @@ def gaussian_fit_check(
 
     The default draws each of the d signed weights i.i.d. from the set, the
     same model under which the symbol variance d * E[w^2] is derived. Forcing
-    all d = f members into every row (permutation or balanced-permutation
-    assignment, which differ only in where the members go) concentrates the
-    sum on 2^f atoms and measurably worsens the Gaussian fit.
+    all d = f members into every row (without replacement at d = f, or the
+    balanced permutation, which differs only in where the members go)
+    concentrates the sum on 2^f atoms and measurably worsens the Gaussian
+    fit. A (set, d, assignment) the encoder refuses to build raises
+    InvalidConfigurationError, a ValueError, before any sampling.
     """
+    assignment.check_degrees([d], ws.f)
     if delta <= 0 or eps <= 0:
         raise ValueError("delta and eps must be positive")
     if n_samples < 1:
@@ -545,8 +550,6 @@ def search_weight_set(
         raise ValueError("f and d must be >= 1")
     for attempt in range(budget):
         candidate = _propose(family, f, attempt, rng)
-        if d > candidate.f:
-            raise ValueError("degree exceeds candidate set size")
         cond = check_nonzero_condition(candidate, d, condition_assignment)
         if not cond.ok:
             continue

@@ -194,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "analyze" and args.action == "pairwise":
         ws = resolve_weight_set("reciprocal-primes")
         dist = DegreeDistribution.fixed(8)
-        policy = EncoderPolicy(Selection.MIN_DEGREE_FIRST, WeightAssignment.PERMUTATION_OF_SET)
+        policy = EncoderPolicy(Selection.MIN_DEGREE_FIRST, WeightAssignment.WITHOUT_REPLACEMENT)
         rng = rngmod.substream(args.seed, rngmod.GRAPH)
         graph = build_graph(args.k, args.rows, dist, ws, policy, rng)
         flips = [int(x) for x in args.flips.split(",")]

@@ -9,10 +9,10 @@ or min-degree-first (which pins every variable degree to dv or dv-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,18 +24,15 @@ __all__ = [
     "WeightAssignment",
     "EncoderPolicy",
     "FactorGraph",
-    "SymbolBlock",
     "reciprocal_weights",
     "reciprocal_prime_weights",
     "zero_sum_row_template",
     "bits_to_bpsk",
-    "sample_degree",
     "sample_degrees",
     "build_graph",
     "encode",
     "weight_second_moment",
     "power_scale",
-    "normalize_power",
 ]
 
 _PROB_TOL = 1e-12
@@ -158,16 +155,24 @@ class Selection(Enum):
 class WeightAssignment(Enum):
     WITH_REPLACEMENT = "with-replacement"
     WITHOUT_REPLACEMENT = "without-replacement"
-    PERMUTATION_OF_SET = "permutation"
     # Permutation chosen degree-aware: within each row the largest remaining
     # magnitudes go to the variables with the least accumulated weight power,
     # so no variable ends up observed only through the small set members.
     BALANCED_PERMUTATION = "balanced-permutation"
 
-    @property
-    def whole_set(self) -> bool:
-        """Every row carries all members of the set, each once."""
-        return self in (WeightAssignment.PERMUTATION_OF_SET, WeightAssignment.BALANCED_PERMUTATION)
+    def check_degrees(self, degrees: Iterable[int], f: int) -> None:
+        """Refuse any row degree this assignment cannot fill from an f-member set.
+
+        With replacement serves every d >= 1, without replacement d <= f, and
+        the balanced permutation, which puts each member in every row, d == f.
+        """
+        for d in degrees:
+            if d < 1:
+                raise InvalidConfigurationError(f"row degree must be >= 1, got {d}")
+            if self is WeightAssignment.WITHOUT_REPLACEMENT and d > f:
+                raise InvalidConfigurationError(f"degree {d} exceeds weight set size {f} for draw without replacement")
+            if self is WeightAssignment.BALANCED_PERMUTATION and d != f:
+                raise InvalidConfigurationError(f"{self.value} assignment needs degree == weight set size {f}, got {d}")
 
 
 @dataclass(frozen=True)
@@ -234,31 +239,9 @@ class FactorGraph:
         return g
 
 
-@dataclass
-class SymbolBlock:
-    """One frame's worth of signals along the transmit chain."""
-
-    message_bits: np.ndarray
-    bpsk: np.ndarray
-    coded: np.ndarray
-    observed: np.ndarray | None = None
-
-    def validate(self, graph: FactorGraph, tol: float = 1e-12) -> None:
-        if not np.all(np.abs(self.bpsk) == 1):
-            raise ValueError("bpsk symbols must be exactly +/-1")
-        resid = np.max(np.abs(self.coded - encode(graph, self.bpsk)))
-        if resid > tol:
-            raise ValueError(f"coded symbols deviate from row sums by {resid}")
-
-
 def bits_to_bpsk(bits: np.ndarray) -> np.ndarray:
     """Map bit 0 -> +1, bit 1 -> -1 (unit energy)."""
     return 1.0 - 2.0 * np.asarray(bits, dtype=np.float64)
-
-
-def sample_degree(dist: DegreeDistribution, rng: np.random.Generator) -> int:
-    """Draw one row degree."""
-    return int(rng.choice(dist.max_degree, p=dist.omega)) + 1
 
 
 def sample_degrees(dist: DegreeDistribution, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -348,35 +331,28 @@ def _assign_weights(
     assignment: WeightAssignment,
     rng: np.random.Generator,
 ) -> np.ndarray:
+    """Row weights for a with- or without-replacement policy, flat and
+    aligned with ``degrees``, which the caller has checked against the set.
+
+    Without replacement over a uniform set at one fixed degree, each row
+    takes the first d members of a uniformly random permutation, so at
+    d == f every row is a uniformly random ordering of the whole set. Over a
+    non-uniform set each row draws its members one after another by the
+    set's probabilities, so at d == f the likelier members tend to come first.
+    """
     values = ws.as_array()
-    f = ws.f
-    n = len(degrees)
-    d0 = int(degrees[0]) if n else 0
-    fixed = n > 0 and bool(np.all(degrees == d0))
-
-    if assignment is WeightAssignment.PERMUTATION_OF_SET:
-        if not fixed or d0 != f:
-            raise InvalidConfigurationError("permutation assignment requires degree == set size")
-        order = np.argsort(rng.random((n, f)), axis=1)
+    if assignment is WeightAssignment.WITH_REPLACEMENT:
+        return rng.choice(values, size=int(degrees.sum()), p=ws.probs)
+    d0 = int(degrees[0])
+    if ws.uniform and np.all(degrees == d0):
+        order = np.argsort(rng.random((len(degrees), ws.f)), axis=1)[:, :d0]
         return values[order].ravel()
-
-    if assignment is WeightAssignment.WITHOUT_REPLACEMENT:
-        if int(degrees.max(initial=0)) > f:
-            raise InvalidConfigurationError("degree exceeds weight set size for draw without replacement")
-        if fixed and ws.uniform:
-            order = np.argsort(rng.random((n, f)), axis=1)[:, :d0]
-            return values[order].ravel()
-        out = np.empty(int(degrees.sum()))
-        pos = 0
-        for d in degrees:
-            out[pos : pos + int(d)] = rng.choice(values, size=int(d), replace=False, p=ws.probs)
-            pos += int(d)
-        return out
-
-    # with replacement
-    if fixed:
-        return rng.choice(values, size=(n, d0), p=ws.probs).ravel()
-    return rng.choice(values, size=int(degrees.sum()), p=ws.probs)
+    out = np.empty(int(degrees.sum()))
+    pos = 0
+    for d in degrees:
+        out[pos : pos + int(d)] = rng.choice(values, size=int(d), replace=False, p=ws.probs)
+        pos += int(d)
+    return out
 
 
 def _assign_balanced(
@@ -387,8 +363,6 @@ def _assign_balanced(
 ) -> np.ndarray:
     """Whole-set row permutations placed so variables collect even weight power."""
     f = ws.f
-    if not np.all(degrees == f):
-        raise InvalidConfigurationError("balanced permutation requires degree == set size")
     desc = sorted(ws.values, reverse=True)
     strength = [0.0] * k
     flat = indices.tolist()
@@ -415,6 +389,8 @@ def build_graph(
         raise InvalidConfigurationError("need at least one row")
     if dist.max_degree > k:
         raise InvalidConfigurationError(f"max degree {dist.max_degree} exceeds k={k}")
+    support = (d for d, p in enumerate(dist.omega, start=1) if p > 0)
+    policy.weight_assignment.check_degrees(support, ws.f)
     degrees = sample_degrees(dist, n_rows, rng)
     if policy.selection is Selection.MIN_DEGREE_FIRST:
         indices = _select_min_degree(k, degrees, rng)
@@ -445,8 +421,3 @@ def weight_second_moment(ws: WeightSet) -> float:
 def power_scale(dist: DegreeDistribution, ws: WeightSet) -> float:
     """Scale factor making coded symbols unit average power."""
     return 1.0 / np.sqrt(dist.mu * weight_second_moment(ws))
-
-
-def normalize_power(c: np.ndarray, dist: DegreeDistribution, ws: WeightSet) -> np.ndarray:
-    """Rescale coded symbols to unit average power per real symbol."""
-    return np.asarray(c, dtype=np.float64) * power_scale(dist, ws)

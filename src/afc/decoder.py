@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import FactorGraph
-from .precoder import ldpc_decode, syndrome_ok, tanh_rule_messages
+from .precoder import syndrome_ok, tanh_rule_messages
 
 __all__ = [
     "UnsupportedDegreeError",
@@ -34,7 +34,6 @@ __all__ = [
     "bp_decode",
     "bp_decode_joint",
     "ml_decode_bruteforce",
-    "decode_with_precode",
 ]
 
 MAX_ENUM_DEGREE = 14
@@ -314,9 +313,7 @@ def ml_decode_bruteforce(graph: FactorGraph, u: np.ndarray) -> np.ndarray:
     """
     if graph.k > _ML_MAX_VARS:
         raise ValueError(f"brute force limited to k <= {_ML_MAX_VARS}, got {graph.k}")
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (graph.m,):
-        raise ValueError("observation length mismatch")
+    u = _finite_vector(u, (graph.m,), "observation")
     k = graph.k
     g_dense = graph.dense()
     best_val = np.inf
@@ -330,10 +327,9 @@ def ml_decode_bruteforce(graph: FactorGraph, u: np.ndarray) -> np.ndarray:
         resid = u[None, :] - b @ g_dense.T
         d2 = np.einsum("ij,ij->i", resid, resid)
         i = int(np.argmin(d2))
-        if d2[i] < best_val:
+        if best is None or d2[i] < best_val:
             best_val = float(d2[i])
             best = b[i]
-    assert best is not None
     return best
 
 
@@ -357,17 +353,3 @@ def bp_decode_joint(
     u = _check_inputs(graph, u, sigma2)
     groups = [_OuterChecks(code), *_row_groups(graph, u, sigma2)]
     return _bp(groups, np.zeros(graph.k), cfg or DecoderConfig(), code)
-
-
-def decode_with_precode(
-    graph: FactorGraph,
-    u: np.ndarray,
-    sigma2: float,
-    cfg: DecoderConfig,
-    code,
-) -> np.ndarray:
-    """Message bits through the outer high-rate code: ``bp_decode_joint``,
-    then the outer decoder on its posterior LLRs."""
-    result = bp_decode_joint(graph, u, sigma2, code, cfg)
-    bits, _converged = ldpc_decode(code, result.llr)
-    return bits

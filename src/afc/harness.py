@@ -103,13 +103,9 @@ class ExperimentConfig:
         if not 0.0 < self.target_ber < 1.0:
             raise ValueError("target_ber must lie in (0, 1)")
         assignment = WeightAssignment(self.assignment)  # ValueError for an unknown name
-        if not 1 <= self.degree <= MAX_ENUM_DEGREE:
-            raise ValueError(f"degree must lie in [1, {MAX_ENUM_DEGREE}]")
-        f = resolve_weight_set(self.weight_set).f
-        if assignment.whole_set and self.degree != f:
-            raise ValueError(f"{self.assignment} assignment needs degree == weight set size {f}")
-        if assignment is WeightAssignment.WITHOUT_REPLACEMENT and self.degree > f:
-            raise ValueError(f"degree exceeds weight set size {f} for draw without replacement")
+        if self.degree > MAX_ENUM_DEGREE:
+            raise ValueError(f"degree must be <= {MAX_ENUM_DEGREE}")
+        assignment.check_degrees([self.degree], resolve_weight_set(self.weight_set).f)
         if self.ldpc_var_degree < 1:
             raise ValueError("ldpc_var_degree must be >= 1")
         DecoderConfig(max_iters=self.max_iters, damping=self.damping)  # ValueError out of bounds

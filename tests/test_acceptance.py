@@ -41,7 +41,7 @@ from afc.rng import substream
 
 RECIP = reciprocal_prime_weights()
 D8 = DegreeDistribution.fixed(8)
-PERM = EncoderPolicy(Selection.MIN_DEGREE_FIRST, WeightAssignment.PERMUTATION_OF_SET)
+PERM = EncoderPolicy(Selection.MIN_DEGREE_FIRST, WeightAssignment.WITHOUT_REPLACEMENT)
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -138,7 +138,7 @@ def test_c5_coded_symbol_variance():
     # many small independent graphs: rows inside one graph share message bits
     # (positive covariance through shared variables), which would invalidate
     # the iid 3-sigma bound on the pooled mean
-    pol = EncoderPolicy(Selection.UNIFORM_RANDOM, WeightAssignment.PERMUTATION_OF_SET)
+    pol = EncoderPolicy(Selection.UNIFORM_RANDOM, WeightAssignment.WITHOUT_REPLACEMENT)
     k, rows, n_graphs = 10_000, 100, 10_000
     chunks = []
     for t in range(n_graphs):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from afc.core import (
     DegreeDistribution,
     EncoderPolicy,
     FactorGraph,
+    InvalidConfigurationError,
     Selection,
     WeightAssignment,
     WeightSet,
@@ -34,9 +36,48 @@ from afc.core import (
     reciprocal_prime_weights,
     zero_sum_row_template,
 )
+from afc.harness import ExperimentConfig
 from afc.rng import substream
 
 RECIP = reciprocal_prime_weights()
+W = WeightAssignment
+
+
+def _accepts(call) -> bool:
+    try:
+        call()
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "assignment, d, accepted",
+    [
+        (W.WITH_REPLACEMENT, 9, True),
+        (W.WITHOUT_REPLACEMENT, 3, True),
+        (W.WITHOUT_REPLACEMENT, 9, False),
+        (W.BALANCED_PERMUTATION, 8, True),
+        (W.BALANCED_PERMUTATION, 3, False),
+        (W.WITH_REPLACEMENT, 0, False),
+    ],
+)
+def test_entry_points_agree_on_degree(assignment, d, accepted):
+    # a certificate must refuse exactly the (set, degree, assignment) the
+    # encoder cannot build, and a config must refuse it before any frame
+    entry_points = {
+        "build_graph": lambda: build_graph(
+            50, 10, DegreeDistribution.fixed(d), RECIP,
+            EncoderPolicy(Selection.MIN_DEGREE_FIRST, assignment), substream(9, 1),
+        ),
+        "ExperimentConfig": lambda: ExperimentConfig(degree=d, assignment=assignment.value),
+        "check_nonzero_condition": lambda: check_nonzero_condition(RECIP, d, assignment),
+        "gaussian_fit_check": lambda: gaussian_fit_check(
+            RECIP, d, 0.2, 1e-4, 1000, substream(9, 2), assignment
+        ),
+    }
+    verdicts = {name: _accepts(call) for name, call in entry_points.items()}
+    assert verdicts == dict.fromkeys(entry_points, accepted)
 
 
 class TestQFunction:
@@ -76,7 +117,7 @@ class TestErrorFloor:
 
 class TestPairwiseErrorProb:
     def graph(self, seed=0, k=10, m=20):
-        pol = EncoderPolicy(Selection.MIN_DEGREE_FIRST, WeightAssignment.PERMUTATION_OF_SET)
+        pol = EncoderPolicy(Selection.MIN_DEGREE_FIRST, WeightAssignment.WITHOUT_REPLACEMENT)
         return build_graph(k, m, DegreeDistribution.fixed(8), RECIP, pol, substream(seed, 1))
 
     def test_single_flip_closed_form(self):
@@ -123,7 +164,7 @@ class TestPairwiseErrorProb:
 
     def test_monotone_in_rows(self):
         g_small = self.graph(seed=4, m=10)
-        pol = EncoderPolicy(Selection.MIN_DEGREE_FIRST, WeightAssignment.PERMUTATION_OF_SET)
+        pol = EncoderPolicy(Selection.MIN_DEGREE_FIRST, WeightAssignment.WITHOUT_REPLACEMENT)
         # extend with extra rows: p must not increase
         import numpy as np
         from afc.core import FactorGraph
@@ -362,11 +403,12 @@ class TestGaussianFit:
         assert not report.satisfied
 
     def test_balanced_rows_carry_the_whole_set(self):
-        # balanced placement differs from a permutation only across variables:
-        # each row still holds all f members, so the symbol law is the same
+        # balanced placement differs from drawing all f members without
+        # replacement only across variables: each row still holds the whole
+        # set, so the symbol law is the same
         reports = [
             gaussian_fit_check(RECIP, 8, 0.2, 1e-4, 200_000, np.random.default_rng(5), a)
-            for a in (WeightAssignment.BALANCED_PERMUTATION, WeightAssignment.PERMUTATION_OF_SET)
+            for a in (WeightAssignment.BALANCED_PERMUTATION, WeightAssignment.WITHOUT_REPLACEMENT)
         ]
         assert reports[0] == reports[1]
         assert not reports[0].satisfied
@@ -375,13 +417,20 @@ class TestGaussianFit:
         "ws, d, assignment",
         [
             (RECIP, 7, WeightAssignment.BALANCED_PERMUTATION),
-            (RECIP, 7, WeightAssignment.PERMUTATION_OF_SET),
+            (RECIP, 9, WeightAssignment.WITHOUT_REPLACEMENT),
             (WeightSet((1.0, 2.0, 3.0), (0.5, 0.25, 0.25)), 2, WeightAssignment.WITHOUT_REPLACEMENT),
         ],
     )
     def test_unsupported_draws_rejected(self, ws, d, assignment):
         with pytest.raises(ValueError):
             gaussian_fit_check(ws, d, 0.2, 1e-4, 1000, np.random.default_rng(0), assignment)
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_degree_below_one_rejected(self, d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidConfigurationError, match="degree must be >= 1"):
+                gaussian_fit_check(RECIP, d, 0.2, 1e-4, 1000, np.random.default_rng(0))
 
     def test_csv_layout(self, tmp_path):
         rng = substream(777, 3)

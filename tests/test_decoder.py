@@ -29,7 +29,6 @@ from afc.decoder import (
     bp_decode,
     bp_decode_joint,
     check_to_var_messages,
-    decode_with_precode,
     ml_decode_bruteforce,
     _RowGroup,
     _sign_matrix,
@@ -39,7 +38,7 @@ from afc.rng import substream
 
 RECIP = reciprocal_prime_weights()
 D8 = DegreeDistribution.fixed(8)
-PERM = EncoderPolicy(Selection.MIN_DEGREE_FIRST, WeightAssignment.PERMUTATION_OF_SET)
+PERM = EncoderPolicy(Selection.MIN_DEGREE_FIRST, WeightAssignment.WITHOUT_REPLACEMENT)
 BAL = EncoderPolicy(Selection.MIN_DEGREE_FIRST, WeightAssignment.BALANCED_PERMUTATION)
 
 
@@ -424,6 +423,19 @@ class TestMlBruteforce:
         with pytest.raises(ValueError):
             ml_decode_bruteforce(g, np.zeros(g.m))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_observation_rejected(self, bad):
+        g = build_graph(10, 12, D8, RECIP, PERM, substream(0, 21))
+        u = encode(g, np.ones(10))
+        u[3] = bad
+        with pytest.raises(ValueError, match="non-finite observation"):
+            ml_decode_bruteforce(g, u)
+
+    def test_overflowing_distances_keep_tie_rule(self):
+        # every squared distance overflows to inf: all candidates tie
+        g = build_graph(10, 12, D8, RECIP, PERM, substream(0, 21))
+        assert np.array_equal(ml_decode_bruteforce(g, np.full(12, 1e200)), np.ones(10))
+
 
 class TestPrecodeDecode:
     def setup_method(self):
@@ -437,20 +449,26 @@ class TestPrecodeDecode:
         cw = ldpc_encode(self.code, msg)
         return g, msg, bits_to_bpsk(cw)
 
+    def decode(self, g, u, sigma2):
+        """Message bits as the harness takes them: joint BP, then the outer decoder."""
+        result = bp_decode_joint(g, u, sigma2, self.code, DecoderConfig())
+        bits, _converged = ldpc_decode(self.code, result.llr)
+        return bits
+
     def test_noiseless_exact(self):
         g, msg, b = self.frame(0, 200)
-        bits = decode_with_precode(g, encode(g, b), 1e-12, DecoderConfig(), self.code)
+        bits = self.decode(g, encode(g, b), 1e-12)
         assert np.array_equal(bits, msg)
 
     def test_all_zero_message(self):
         zeros = np.zeros(self.code.k_msg, dtype=np.uint8)
         g, msg, b = self.frame(1, 200, msg=zeros)
-        bits = decode_with_precode(g, encode(g, b), 1e-12, DecoderConfig(), self.code)
+        bits = self.decode(g, encode(g, b), 1e-12)
         assert not bits.any()
 
     def test_interleaved_matches_noiseless(self):
         g, msg, b = self.frame(2, 220)
-        bits = decode_with_precode(g, encode(g, b), 1e-12, DecoderConfig(), self.code)
+        bits = self.decode(g, encode(g, b), 1e-12)
         assert np.array_equal(bits, msg)
 
     def test_joint_returns_iterations(self):
@@ -462,7 +480,7 @@ class TestPrecodeDecode:
     def test_size_mismatch(self):
         g = build_graph(64, 32, D8, RECIP, PERM, substream(33, 1))
         with pytest.raises(ValueError):
-            decode_with_precode(g, np.zeros(32), 1.0, DecoderConfig(), self.code)
+            bp_decode_joint(g, np.zeros(32), 1.0, self.code)
 
 
 def _decode_plain(g, u, sigma2):
