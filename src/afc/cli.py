@@ -59,13 +59,19 @@ def _sweep_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gnuplot", action="store_const", const=True, default=None)
 
 
-def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Config file values, overridden by every flag named after a config field."""
+def _build_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> ExperimentConfig:
+    """Config file values, overridden by every flag named after a config field.
+
+    A refused configuration exits through ``parser.error`` (code 2).
+    """
     mapping = parse_config_file(args.config) if args.config else {}
     for f in fields(ExperimentConfig):
         if getattr(args, f.name, None) is not None:
             mapping[f.name] = getattr(args, f.name)
-    return config_from_mapping(mapping)
+    try:
+        return config_from_mapping(mapping)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _parse_weights(text: str):
@@ -129,8 +135,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "ber-sweep":
-        cfg = _build_config(args)
-        results = run_ber_sweep(cfg)
+        results = run_ber_sweep(_build_config(parser, args))
         for res in results:
             for pt in res.points:
                 flag = " low-confidence" if pt.low_confidence else ""
@@ -141,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "throughput-sweep":
-        res = run_throughput_sweep(_build_config(args))
+        res = run_throughput_sweep(_build_config(parser, args))
         for pt in res.points:
             status = "" if pt.reached else " (unreached)"
             print(
@@ -158,8 +163,10 @@ def main(argv: list[str] | None = None) -> int:
         else:
             if not args.values:
                 parser.error("weights check needs --values or --zero-sum-template")
-            ws = resolve_weight_set(args.values)
-            check = check_nonzero_condition(ws, args.degree, assignment)
+            try:  # a set or degree the encoder refuses is a usage error
+                check = check_nonzero_condition(resolve_weight_set(args.values), args.degree, assignment)
+            except ValueError as exc:
+                parser.error(str(exc))
         if check.ok:
             print("PASS: no signed sub-selection sums to zero")
             return 0

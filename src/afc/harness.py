@@ -108,6 +108,10 @@ class ExperimentConfig:
         assignment.check_degrees([self.degree], resolve_weight_set(self.weight_set).f)
         if self.ldpc_var_degree < 1:
             raise ValueError("ldpc_var_degree must be >= 1")
+        if "min-degree+precode" in self.variants:
+            _, m = _outer_code_size(self.k_msg, self.precode_rate)
+            if self.ldpc_var_degree > m:
+                raise ValueError(f"ldpc_var_degree {self.ldpc_var_degree} exceeds the outer code's {m} checks")
         DecoderConfig(max_iters=self.max_iters, damping=self.damping)  # ValueError out of bounds
 
 
@@ -151,6 +155,12 @@ def resolve_weight_set(spec: str) -> WeightSet:
     return WeightSet.uniform_exact(Fraction(p.strip()) for p in spec.split(",") if p.strip())
 
 
+def _outer_code_size(k_msg: int, precode_rate: float) -> tuple[int, int]:
+    """(n, m) of the outer code a precoded variant builds: n coded bits, m checks."""
+    n = int(round(k_msg / precode_rate))
+    return n, int(round(n * (1.0 - precode_rate)))
+
+
 class _VariantSetup:
     """Frozen per-variant objects shared by all trials of a sweep."""
 
@@ -163,7 +173,7 @@ class _VariantSetup:
         self.policy = EncoderPolicy(selection, WeightAssignment(cfg.assignment))
         self.precoded = variant.endswith("+precode")
         if self.precoded:
-            n = int(round(cfg.k_msg / cfg.precode_rate))
+            n, _ = _outer_code_size(cfg.k_msg, cfg.precode_rate)
             code_rng = rngmod.substream(cfg.seed, rngmod.GRAPH, 0xC0DE)
             self.code: LdpcCode | None = ldpc_generate(n, cfg.precode_rate, cfg.ldpc_var_degree, code_rng)
             self.k_afc = self.code.n

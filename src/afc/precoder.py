@@ -4,6 +4,12 @@ The construction is greedy progressive-edge-growth style: variables are
 regular (degree ``var_degree``) and each new variable attaches to the
 currently least-loaded checks while avoiding repeated check pairs, which
 keeps the Tanner graph free of 4-cycles whenever the pair budget allows.
+When the least-loaded checks would repeat a pair, the variable's remaining
+tries are drawn as one block and the first pair-free one wins; when none
+is, it takes the least-loaded checks and accepts the short cycle. A
+variable's retries cost one array operation, not one draw each. The same
+seed gives the same code on every run, but codes differ from versions that
+drew each retry separately.
 Encoding is systematic (message bits first); the parity positions are the
 pivot columns of a right-preferring GF(2) elimination, so a code reloaded
 from its serialized parity structure reproduces the identical encoder.
@@ -128,33 +134,50 @@ def _from_check_rows(n: int, check_rows: list) -> LdpcCode:
     return LdpcCode(n=n, k_msg=len(msg_cols), check_rows=permuted, enc_matrix=red.take(msg_cols, axis=1))
 
 
+def _least_loaded(check_deg: np.ndarray, dv: int, rng: np.random.Generator) -> np.ndarray:
+    """The dv least-loaded checks, ascending; ties broken by one uniform draw.
+
+    Loads are integers and the draw lies in [0, 1), so this is the set that
+    ``np.lexsort((draw, check_deg))[:dv]`` selects.
+    """
+    return np.sort(np.argpartition(check_deg + rng.random(check_deg.size), dv - 1)[:dv])
+
+
 def _greedy_rows(n: int, m: int, dv: int, rng: np.random.Generator, tries: int = 50) -> list:
+    """Check rows (ascending variable indices) of a variable-regular graph.
+
+    Variables attach in order. A variable first tries the dv least-loaded
+    checks. If two of them already share a variable, it draws the other
+    ``tries - 1`` tries as one block of dv checks each, with replacement,
+    and takes the first row whose checks are distinct and pairwise unused;
+    given success, the pick is uniform over such subsets. If no row
+    qualifies, it takes the dv least-loaded checks under a fresh tie draw
+    and accepts the short cycle (those pairs are not recorded). Codes differ
+    from versions before this rule for the same seed, from the first
+    variable whose first try fails.
+    """
     check_deg = np.zeros(m, dtype=np.int64)
-    used_pairs: set[int] = set()
-    cols: list[list[int]] = [[] for _ in range(m)]
-    for _v in range(n):
-        picked: np.ndarray | None = None
-        for t in range(tries):
-            if t == 0:
-                order = np.lexsort((rng.random(m), check_deg))
-                cand = order[:dv]
-            else:
-                cand = rng.choice(m, size=dv, replace=False)
-            keys = [
-                int(cand[i]) * m + int(cand[j]) if cand[i] < cand[j] else int(cand[j]) * m + int(cand[i])
-                for i in range(dv)
-                for j in range(i + 1, dv)
-            ]
-            if all(kk not in used_pairs for kk in keys):
-                picked = cand
-                used_pairs.update(keys)
-                break
-        if picked is None:  # pair budget exhausted; accept a short cycle
-            picked = np.lexsort((rng.random(m), check_deg))[:dv]
-        check_deg[picked] += 1
-        for c in picked:
-            cols[int(c)].append(_v)
-    return [np.array(sorted(c), dtype=np.int64) for c in cols]
+    used = np.zeros((m, m), dtype=bool)  # used[a, b], a < b: checks a and b share a variable
+    iu, ju = np.triu_indices(dv, 1)
+    picks = np.empty((n, dv), dtype=np.int64)
+    for v in range(n):
+        cand = _least_loaded(check_deg, dv, rng)
+        fresh = not used[cand[iu], cand[ju]].any()
+        if not fresh:
+            block = np.sort(rng.integers(0, m, (tries - 1, dv)), axis=1)
+            ok = (np.diff(block, axis=1) > 0).all(axis=1) & ~used[block[:, iu], block[:, ju]].any(axis=1)
+            hit = np.flatnonzero(ok)
+            if hit.size:
+                cand, fresh = block[hit[0]], True
+            else:  # pair budget exhausted; accept a short cycle
+                cand = _least_loaded(check_deg, dv, rng)
+        if fresh:
+            used[cand[iu], cand[ju]] = True
+        check_deg[cand] += 1
+        picks[v] = cand
+    flat = picks.ravel()
+    var_of_edge = np.argsort(flat, kind="stable") // dv  # variable-major, so ascending per check
+    return np.split(var_of_edge, np.cumsum(np.bincount(flat, minlength=m))[:-1])
 
 
 def ldpc_generate(

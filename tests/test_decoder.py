@@ -65,14 +65,49 @@ def exact_posterior_llr(graph, u, sigma2):
     b = 1.0 - 2.0 * bits
     resid = u[None, :] - b @ g.T
     logw = -np.einsum("ij,ij->i", resid, resid) / (2.0 * sigma2)
-    logw -= logw.max()
-    w = np.exp(logw)
-    llr = np.empty(k)
-    for j in range(k):
-        plus = float(w[b[:, j] > 0].sum())
-        minus = float(w[b[:, j] < 0].sum())
-        llr[j] = math.log(plus) - math.log(minus)
-    return llr
+    return np.array([_logsumexp(logw[b[:, j] > 0]) - _logsumexp(logw[b[:, j] < 0]) for j in range(k)])
+
+
+def _logsumexp(x: np.ndarray) -> float:
+    top = float(x.max())
+    return top + math.log(float(np.exp(x - top).sum()))
+
+
+@st.composite
+def tree_frames(draw):
+    """An acyclic factor graph (k <= 10, rows of degree 1-3), a noisy
+    observation of a random word, and sigma2 in [0.02, 1].
+
+    Each row keeps one variable per connected component it touches, so no
+    row closes a cycle.
+    """
+    k = draw(st.integers(1, 10), label="k")
+    parent = list(range(k))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    indptr, indices, weights = [0], [], []
+    for _ in range(draw(st.integers(1, 12), label="rows")):
+        touched = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=min(3, k), unique=True))
+        row = list({root(v): v for v in reversed(touched)}.values())
+        for v in row:
+            parent[root(v)] = root(row[0])
+        indices += row
+        weights += [draw(st.sampled_from(RECIP.values)) * draw(st.sampled_from([-1.0, 1.0])) for _ in row]
+        indptr.append(len(indices))
+    g = FactorGraph(
+        k=k,
+        indptr=np.array(indptr, dtype=np.int64),
+        indices=np.array(indices, dtype=np.int64),
+        weights=np.array(weights),
+    )
+    sigma2 = draw(st.floats(0.02, 1.0), label="sigma2")
+    b = np.array([draw(st.sampled_from([-1.0, 1.0])) for _ in range(k)])
+    noise = np.array([draw(st.floats(-3.0, 3.0)) for _ in range(g.m)])
+    return g, encode(g, b) + math.sqrt(sigma2) * noise, sigma2
 
 
 class TestCheckToVar:
@@ -214,6 +249,17 @@ class TestBpDecode:
         res = bp_decode(g, u, sigma2, cfg)
         ref = exact_posterior_llr(g, u, sigma2)
         assert np.allclose(res.llr, ref, rtol=1e-8, atol=1e-9)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(tree_frames())
+    def test_random_tree_equals_exact_marginals(self, frame):
+        # Bitwise MAP, not block ML: compare the marginals themselves. A path
+        # crosses each row at most once, so m + 1 flooding iterations exceed
+        # the diameter and every message is exact.
+        g, u, sigma2 = frame
+        cfg = DecoderConfig(max_iters=g.m + 1, damping=0.0, llr_clip=300.0, stop_on_stable_decisions=False)
+        res = bp_decode(g, u, sigma2, cfg)
+        assert np.allclose(res.llr, exact_posterior_llr(g, u, sigma2), rtol=1e-8, atol=1e-8)
 
 
     def test_empty_row_changes_nothing(self):

@@ -201,6 +201,8 @@ class TestConfig:
             {"rates": (0.0, 1.0)},
             {"rates": (-1.0, 1.0)},
             {"ldpc_var_degree": 0},
+            {"k_msg": 950, "ldpc_var_degree": 60},  # outer code has m = 50 checks
+            {"k_msg": 100, "precode_rate": 0.999},  # outer code has m = 0 checks
         ],
         ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()),
     )
@@ -220,6 +222,11 @@ class TestConfig:
     def test_unknown_bool_spelling_rejected(self, text):
         with pytest.raises(ValueError):
             config_from_mapping({"noiseless": text})
+
+    def test_outer_code_checked_only_when_precoded(self):
+        cfg = ExperimentConfig(k_msg=100, precode_rate=0.999, variants=("uniform", "min-degree"))
+        assert cfg.precode_rate == 0.999
+        assert ExperimentConfig(k_msg=95, ldpc_var_degree=5).ldpc_var_degree == 5  # m = 5
 
     def test_without_replacement_allows_smaller_degree(self):
         assert ExperimentConfig(degree=5, assignment="without-replacement").degree == 5
@@ -255,6 +262,24 @@ class TestCli:
         assert rc == 1
         out = capsys.readouterr().out
         assert out.startswith("FAIL: zero sum witness:") and out.rstrip().endswith("= 0")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["ber-sweep", "--assignment", "without-replacement", "--weight-set", "1/2,1/3", "--trials", "1"],
+             "degree 8 exceeds weight set size 2"),
+            (["weights", "check", "--values", "1/2,1/3,1/5", "--degree", "4"], "degree 4 exceeds weight set size 3"),
+            (["ber-sweep", "--k-msg", "100", "--precode-rate", "0.999", "--rates", "1.0"], "outer code's 0 checks"),
+            (["throughput-sweep", "--trials", "0"], "trials must be >= 1"),
+        ],
+        ids=["ber-sweep", "weights-check", "outer-code", "throughput-sweep"],
+    )
+    def test_refused_configuration_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_ber_sweep_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

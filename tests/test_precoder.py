@@ -159,6 +159,26 @@ class TestGenerate:
         rows = _greedy_rows(n, n // 20, 3, substream(*path))
         _assert_matches_reference(_from_check_rows(n, rows), _per_bit_reference(n, rows))
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_greedy_rows_regular_sorted_reproducible(self, data):
+        """Every variable sits in exactly dv distinct checks, every row is
+        strictly increasing within [0, n), and one substream gives one code."""
+        n = data.draw(st.integers(1, 300), label="n")
+        m = data.draw(st.integers(1, 40), label="m")
+        dv = data.draw(st.integers(1, min(4, m)), label="dv")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rows = _greedy_rows(n, m, dv, substream(seed, GRAPH))
+        assert len(rows) == m
+        var_deg = np.zeros(n, dtype=np.int64)
+        for row in rows:
+            assert row.dtype == np.int64
+            assert np.all(np.diff(row) > 0) and np.all((0 <= row) & (row < n))
+            var_deg[row] += 1
+        assert np.all(var_deg == dv)  # rows hold a variable at most once, so its dv checks are distinct
+        again = _greedy_rows(n, m, dv, substream(seed, GRAPH))
+        assert all(np.array_equal(a, b) for a, b in zip(rows, again))
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.data())
     def test_encoder_annihilates_checks(self, data):
