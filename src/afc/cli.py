@@ -32,6 +32,7 @@ from .core import (
 from .harness import (
     VARIANTS,
     ExperimentConfig,
+    check_outer_code,
     config_from_mapping,
     parse_config_file,
     resolve_weight_set,
@@ -69,7 +70,10 @@ def _build_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
         if getattr(args, f.name, None) is not None:
             mapping[f.name] = getattr(args, f.name)
     try:
-        return config_from_mapping(mapping)
+        cfg = config_from_mapping(mapping)
+        if args.command == "throughput-sweep":  # it builds the outer code whatever cfg.variants holds
+            check_outer_code(cfg)
+        return cfg
     except ValueError as exc:
         parser.error(str(exc))
 

@@ -4,11 +4,12 @@ A coded symbol is a real-valued weighted sum of BPSK information symbols:
 row i of the sparse generator holds d variable indices and real weights, and
 c_i = sum_j g_ij * b_j. Row degrees come from a degree distribution, weights
 from a finite positive weight set, and variable selection is either uniform
-or min-degree-first (which pins every variable degree to dv or dv-1).
+or min-degree-first (max - min variable degree <= 1 after every row).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -273,55 +274,52 @@ def _select_uniform(k: int, degrees: np.ndarray, rng: np.random.Generator) -> np
     return out
 
 
-class _MinDegreePools:
-    """Two-bucket pool of variables at the current lowest two degrees.
-
-    Taking a row's variables from the low bucket first (spilling into the
-    high bucket when it runs dry) keeps max-min variable degree <= 1 at
-    every step. Sampling inside a bucket is uniform via swap-and-pop; the
-    uniforms driving it are drawn in blocks to keep per-row cost low.
-    """
-
-    _BLOCK = 4096
-
-    def __init__(self, k: int, rng: np.random.Generator) -> None:
-        self.low: list[int] = rng.permutation(k).tolist()
-        self.high: list[int] = []
-        self.rng = rng
-        self._uniforms: list[float] = rng.random(self._BLOCK).tolist()
-        self._cursor = 0
-
-    def _pop(self, pool: list[int]) -> int:
-        if self._cursor == self._BLOCK:
-            self._uniforms = self.rng.random(self._BLOCK).tolist()
-            self._cursor = 0
-        j = int(self._uniforms[self._cursor] * len(pool))
-        self._cursor += 1
-        pool[j], pool[-1] = pool[-1], pool[j]
-        return pool.pop()
-
-    def take_row(self, d: int) -> list[int]:
-        if d > len(self.low) + len(self.high):
-            raise InvalidConfigurationError(f"row degree {d} exceeds variable count")
-        if d <= len(self.low):
-            chosen = [self._pop(self.low) for _ in range(d)]
-            self.high.extend(chosen)
-            if not self.low:
-                self.low, self.high = self.high, []
-            return chosen
-        # Low bucket exhausted mid-row: promote it whole and spill into high.
-        promoted = list(self.low)
-        spill = [self._pop(self.high) for _ in range(d - len(promoted))]
-        self.low = self.high + promoted
-        self.high = spill
-        return promoted + spill
+_UNIFORM_BLOCK = 4096
 
 
 def _select_min_degree(k: int, degrees: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    pools = _MinDegreePools(k, rng)
+    """Min-degree-first picks: a row takes its variables uniformly from the
+    lowest-degree bucket, and all of it plus the rest from the bucket one
+    above when it runs dry, so max-min variable degree stays <= 1 after every
+    row. Picks are swap-and-pop driven by uniforms drawn lazily in 4096-blocks;
+    each epoch (a run of whole rows the low bucket serves, or one spill row's
+    draw from the high one) gets its swap indices from one product. Every
+    degree must be <= k, which ``build_graph`` checks.
+    """
+    low: list[int] = rng.permutation(k).tolist()
+    high: list[int] = []
+    u, used = rng.random(_UNIFORM_BLOCK), 0
+
+    def pop(pool: list[int], p: int) -> list[int]:
+        nonlocal u, used
+        while used + p > len(u):  # a block only when picks pass a block edge: later draws depend on it
+            u, used = np.concatenate((u[used:], rng.random(_UNIFORM_BLOCK))), 0
+        n = len(pool)
+        swaps = (u[used : used + p] * (n - np.arange(p))).astype(np.int64).tolist()
+        used += p
+        for end, j in zip(range(n - 1, n - 1 - p, -1), swaps):
+            pool[j], pool[end] = pool[end], pool[j]
+        picks = pool[n - p :][::-1]  # in pick order
+        del pool[n - p :]
+        return picks
+
+    ends = [0, *np.cumsum(degrees).tolist()]
     out: list[int] = []
-    for d in degrees.tolist():
-        out += pools.take_row(d)
+    row = 0
+    while row < len(degrees):
+        stop = bisect_right(ends, ends[row] + len(low)) - 1
+        if stop > row:  # rows row..stop-1 come whole from low
+            picks = pop(low, ends[stop] - ends[row])
+            out += picks
+            high += picks
+            if not low:
+                low, high = high, []
+            row = stop
+        else:  # low runs dry mid-row: promote it whole and spill into high
+            spill = pop(high, ends[row + 1] - ends[row] - len(low))
+            out += low + spill
+            low, high = high + low, spill
+            row += 1
     return np.array(out, dtype=np.int64)
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "VARIANTS",
     "run_ber_sweep",
     "run_throughput_sweep",
+    "check_outer_code",
     "emit_csv",
     "parse_csv",
     "parse_config_file",
@@ -109,9 +110,7 @@ class ExperimentConfig:
         if self.ldpc_var_degree < 1:
             raise ValueError("ldpc_var_degree must be >= 1")
         if "min-degree+precode" in self.variants:
-            _, m = _outer_code_size(self.k_msg, self.precode_rate)
-            if self.ldpc_var_degree > m:
-                raise ValueError(f"ldpc_var_degree {self.ldpc_var_degree} exceeds the outer code's {m} checks")
+            check_outer_code(self)
         DecoderConfig(max_iters=self.max_iters, damping=self.damping)  # ValueError out of bounds
 
 
@@ -159,6 +158,13 @@ def _outer_code_size(k_msg: int, precode_rate: float) -> tuple[int, int]:
     """(n, m) of the outer code a precoded variant builds: n coded bits, m checks."""
     n = int(round(k_msg / precode_rate))
     return n, int(round(n * (1.0 - precode_rate)))
+
+
+def check_outer_code(cfg: ExperimentConfig) -> None:
+    """Refuse a config whose outer code has fewer checks than its variable degree."""
+    _, m = _outer_code_size(cfg.k_msg, cfg.precode_rate)
+    if cfg.ldpc_var_degree > m:
+        raise ValueError(f"ldpc_var_degree {cfg.ldpc_var_degree} exceeds the outer code's {m} checks")
 
 
 class _VariantSetup:
@@ -319,6 +325,7 @@ def run_throughput_sweep(cfg: ExperimentConfig, target_ber: float | None = None)
     target = cfg.target_ber if target_ber is None else target_ber
     if not 0.0 < target < 1.0:
         raise ValueError("target BER must lie in (0, 1)")
+    check_outer_code(cfg)
     setup = _VariantSetup(cfg, "min-degree+precode")
     res = SweepResult(variant="throughput")
     for si, snr_db in enumerate(cfg.snr_db):

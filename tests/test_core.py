@@ -1,9 +1,12 @@
+import hashlib
 import importlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from afc.core import (
@@ -23,6 +26,7 @@ from afc.core import (
     weight_second_moment,
     zero_sum_row_template,
 )
+from afc.core import _select_min_degree
 from afc.rng import substream
 
 RECIP = reciprocal_prime_weights()
@@ -282,3 +286,129 @@ class TestNormalizePower:
         c = np.concatenate(chunks)
         assert len(c) == 1_000_000
         assert abs(float(np.var(c)) - 1.0) < 0.02
+
+
+class _MinDegreePools:
+    """Per-pick min-degree-first selection, the reference for ``_select_min_degree``.
+
+    One method call per chosen variable: swap-and-pop inside the low bucket,
+    the low bucket promoted whole when a row outgrows it, and uniforms taken
+    one at a time from lazily drawn 4096-blocks.
+    """
+
+    _BLOCK = 4096
+
+    def __init__(self, k, rng):
+        self.low = rng.permutation(k).tolist()
+        self.high = []
+        self.rng = rng
+        self._uniforms = rng.random(self._BLOCK).tolist()
+        self._cursor = 0
+
+    def _pop(self, pool):
+        if self._cursor == self._BLOCK:
+            self._uniforms = self.rng.random(self._BLOCK).tolist()
+            self._cursor = 0
+        j = int(self._uniforms[self._cursor] * len(pool))
+        self._cursor += 1
+        pool[j], pool[-1] = pool[-1], pool[j]
+        return pool.pop()
+
+    def take_row(self, d):
+        if d <= len(self.low):
+            chosen = [self._pop(self.low) for _ in range(d)]
+            self.high.extend(chosen)
+            if not self.low:
+                self.low, self.high = self.high, []
+            return chosen
+        promoted = list(self.low)
+        spill = [self._pop(self.high) for _ in range(d - len(promoted))]
+        self.low = self.high + promoted
+        self.high = spill
+        return promoted + spill
+
+
+def reference_select_min_degree(k, degrees, rng):
+    pools = _MinDegreePools(k, rng)
+    out = []
+    for d in degrees.tolist():
+        out += pools.take_row(d)
+    return np.array(out, dtype=np.int64)
+
+
+@st.composite
+def selection_draws(draw):
+    """(k, degrees, seed) over mixed degree PMFs, up to about 15,000 picks."""
+    k = draw(st.integers(1, 64))
+    dmax = draw(st.integers(1, min(k, 10)))
+    mass = draw(st.lists(st.integers(0, 3), min_size=dmax, max_size=dmax).filter(any))
+    dist = DegreeDistribution(tuple(m / sum(mass) for m in mass))
+    rows = draw(st.integers(1, 1500))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return k, sample_degrees(dist, rows, np.random.default_rng(seed)), seed
+
+
+def assert_matches_reference(k, degrees, seed):
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert np.array_equal(_select_min_degree(k, degrees, rng), reference_select_min_degree(k, degrees, ref_rng))
+    assert rng.random() == ref_rng.random()  # same number of uniform blocks drawn
+
+
+class TestMinDegreeSelection:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(selection_draws())
+    def test_matches_per_pick_reference(self, case):
+        assert_matches_reference(*case)
+
+    # fixed degrees whose consumed uniforms land on or just past a block edge:
+    # 3549 and 3276 (fewer than the 4140 and 4480 picks), 4096, 4097, 8192, 8193
+    @pytest.mark.parametrize(
+        "k,d,rows",
+        [(7, 3, 1380), (13, 8, 560), (13, 8, 701), (5, 3, 1707), (33, 8, 572), (12, 8, 1229), (41, 8, 1119)],
+    )
+    def test_matches_reference_at_block_edges(self, k, d, rows):
+        assert_matches_reference(k, np.full(rows, d, dtype=np.int64), 1000 * k + rows)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(selection_draws())
+    def test_rows_keep_degree_band(self, case):
+        k, degrees, seed = case
+        picks = _select_min_degree(k, degrees, np.random.default_rng(seed))
+        assert len(picks) == degrees.sum()  # so each row's slice holds exactly its degree
+        counts = np.zeros(k, dtype=np.int64)
+        for row in np.split(picks, np.cumsum(degrees)[:-1]):
+            assert len(np.unique(row)) == len(row)
+            counts[row] += 1
+            assert counts.max() - counts.min() <= 1
+
+
+MIXED = DegreeDistribution((0.1, 0.2, 0.0, 0.2, 0.0, 0.0, 0.2, 0.3))
+
+
+@pytest.mark.parametrize(
+    "case,k,rows,dist,selection,assignment,digest,next_draw",
+    [
+        (0, 200, 150, D8, "min-degree", "balanced-permutation",
+         "eb2e30c1ca646e818cfe014bb23f0c199b3bab44b2a9080536927a13d4f8d4f4", 0.30215179304070217),
+        (1, 1000, 800, D8, "min-degree", "without-replacement",
+         "b43d782b628a50f415e72e2c39df6c05fc95f407ec433d80c218daca9f8b692b", 0.8557919918106874),
+        (2, 1000, 900, D8, "uniform", "balanced-permutation",
+         "ba9ed80bd38d4392fbf201419772c79a2bfc5a760abb7e3d8cdeb90907338b83", 0.43884637668026616),
+        (3, 10000, 3456, D8, "min-degree", "with-replacement",
+         "3ed83227211adfabc4e7dee466861e70d07cb6f058206b04517c404531a16e52", 0.8042609068074374),
+        (4, 1000, 700, MIXED, "min-degree", "without-replacement",
+         "ad8ad69a4493426d0a4fa8bfd1addec6b92e4e87fbc76751a26e5b6bb8f815fb", 0.4903740757809196),
+        (5, 200, 400, MIXED, "uniform", "with-replacement",
+         "9036d0a5e52a6446cecdcf6e53e81989d5c5e444ae3a015995033da85e535b9f", 0.4627684624838979),
+        (6, 10000, 2000, D8, "uniform", "without-replacement",
+         "2e3c62bc5241f9079fa025bdfeb0919a0754a2df1787f0a46d98913d5468ae27", 0.6049538402291971),
+    ],
+    ids=lambda v: v if isinstance(v, str) and len(v) < 30 else None,
+)
+def test_build_graph_golden_fingerprint(case, k, rows, dist, selection, assignment, digest, next_draw):
+    """Graphs, and the draws after them, are pinned: a change of draws moves every sweep's CSV."""
+    rng = substream(11, case)
+    policy = EncoderPolicy(Selection(selection), WeightAssignment(assignment))
+    g = build_graph(k, rows, dist, RECIP, policy, rng)
+    assert hashlib.sha256(g.indices.tobytes() + g.weights.tobytes()).hexdigest() == digest
+    assert rng.random() == next_draw

@@ -124,6 +124,11 @@ class TestThroughputSweep:
 
         assert pt.rate_bits_per_cu < capacity_bits(15.0)
 
+    def test_outer_code_checked_whatever_the_variants(self):
+        cfg = ExperimentConfig(k_msg=100, precode_rate=0.999, variants=("uniform",))
+        with pytest.raises(ValueError, match="outer code's 0 checks"):
+            run_throughput_sweep(cfg)
+
 
 class TestConfig:
     def test_parse_file_and_override(self, tmp_path):
@@ -280,6 +285,15 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    def test_throughput_sweep_refuses_outer_code_as_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("k_msg = 100\nprecode_rate = 0.999\nvariants = uniform\n")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["throughput-sweep", "--config", str(cfg)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "outer code's 0 checks" in err and "Traceback" not in err
 
     def test_ber_sweep_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
