@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import product
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -34,6 +33,7 @@ from .core import (
     WeightAssignment,
     WeightSet,
     _assign_weights,
+    _draw_members,
     reciprocal_weights,
     weight_second_moment,
 )
@@ -62,6 +62,7 @@ __all__ = [
 ]
 
 _ENUM_CAP = 2_000_000
+_MAX_BINS = 10_000
 _ORACLE_MAX_VARS = 20
 
 
@@ -234,20 +235,56 @@ class ConditionCheck(NamedTuple):
         return self.ok
 
 
+_ENUM_SUFFIX = 8  # trailing digits tabulated once: 3^8 columns
+_ENUM_BLOCK = 1 << 18  # sums held at once
+
+
+def _signed_sums(values: Sequence[int], dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Sum and nonzero count of every coefficient vector in {-1, 0, 1}^n over
+    ``values``, in the lexicographic order of ``product((-1, 0, 1), repeat=n)``."""
+    sums = np.zeros(1, dtype=dtype)
+    nnz = np.zeros(1, dtype=np.int64)
+    for a in values:
+        sums = (sums[:, None] + np.array([-a, 0, a], dtype=dtype)).ravel()
+        nnz = (nnz[:, None] + np.array([1, 0, 1])).ravel()
+    return sums, nnz
+
+
 def _enumerate_coefficients(values: Sequence, max_nonzero: int) -> ConditionCheck:
+    """First coefficient vector c in {-1, 0, 1}^n, lexicographic order, with 1
+    to ``max_nonzero`` nonzero entries and sum c_i v_i == 0.
+
+    The exact values are scaled by the LCM of their denominators to integers,
+    int64 when every partial sum fits and Python ints otherwise. Sums are
+    taken as a block of leading-digit sums plus a table of the trailing
+    digits' sums, so the first zero in row-major order is the first in
+    lexicographic order.
+    """
     n = len(values)
+    if n == 0:
+        raise ValueError("need at least one weight")
     if 3**n > _ENUM_CAP:
         raise EnumerationCapError(
             f"3^{n} coefficient vectors exceed the enumeration cap; "
             "spot-check with random sampling instead"
         )
     values = _to_exact(values)
-    for coeffs in product((-1, 0, 1), repeat=n):
-        nnz = sum(1 for c in coeffs if c)
-        if nnz == 0 or nnz > max_nonzero:
-            continue
-        if sum(c * v for c, v in zip(coeffs, values)) == 0:
-            witness = tuple((c, v) for c, v in zip(coeffs, values) if c)
+    scale = math.lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (scale // v.denominator) for v in values]
+    dtype = np.int64 if sum(map(abs, ints)) < 2**63 else object
+    split = max(0, n - _ENUM_SUFFIX)
+    pre_sums, pre_nnz = _signed_sums(ints[:split], dtype)
+    suf_sums, suf_nnz = _signed_sums(ints[split:], dtype)
+    cols = len(suf_sums)
+    step = max(1, _ENUM_BLOCK // cols)
+    for lo in range(0, len(pre_sums), step):
+        zero = np.flatnonzero(pre_sums[lo : lo + step, None] + suf_sums == 0)
+        nnz = pre_nnz[lo + zero // cols] + suf_nnz[zero % cols]
+        hits = zero[(nnz >= 1) & (nnz <= max_nonzero)]
+        if len(hits):
+            rank = lo * cols + int(hits[0])
+            digits = [rank // 3 ** (n - 1 - i) % 3 - 1 for i in range(n)]
+            witness = tuple((c, v) for c, v in zip(digits, values) if c)
             return ConditionCheck(False, witness)
     return ConditionCheck(True, None)
 
@@ -263,8 +300,9 @@ def check_nonzero_condition(
     under ``assignment``) or an explicit row template of signed weights,
     possibly with repeats. A (set, d, assignment) the encoder refuses to
     build raises InvalidConfigurationError, a ValueError; with replacement
-    any d >= 2 fails, since a row may repeat a member. Returns the violating
-    signed assignment when one exists.
+    any d >= 2 fails, since a row may repeat a member. An empty template
+    raises ValueError. Returns the first violating signed assignment, in the
+    lexicographic order of coefficient vectors over {-1, 0, 1}, when one exists.
     The check runs in exact rational arithmetic: weights must be Fractions,
     integers or integer-valued floats (a set's ``exact`` values when it has
     them), and any other value raises ValueError.
@@ -403,6 +441,15 @@ def _sample_symbol_sums(
         # every row carries all f values; only the signs matter for the sum
         signs = rng.integers(0, 2, size=(count, d)).astype(np.float64) * 2.0 - 1.0
         return signs @ ws.as_array()
+    if assignment is WeightAssignment.WITH_REPLACEMENT:
+        # the encoder's member draw, then the same sign draw as below: sign
+        # bit b and member i pick the signed value at b * f + i, (2b - 1) * v_i
+        members = _draw_members(ws.probs, count * d, rng)
+        picks = rng.integers(0, 2, size=count * d)
+        picks *= ws.f
+        picks += members
+        signed = np.concatenate((-ws.as_array(), ws.as_array()))
+        return signed.take(picks).reshape(count, d).sum(axis=1)
     if assignment is WeightAssignment.WITHOUT_REPLACEMENT and not ws.uniform:
         # the encoder draws these row by row in Python, too slow for millions of rows
         raise ValueError("non-uniform draw without replacement is not supported here")
@@ -426,8 +473,10 @@ def gaussian_fit_check(
     The signed sum is divided by sqrt(d * E[w^2]) before binning so its
     variance is 1; bin i covers [(i-1)*delta, i*delta) and is compared to the
     Gaussian mass Q((i-1)*delta) - Q(i*delta). Bins are evaluated until the
-    Gaussian mass drops below ``q_floor``. A bin passes when
-    |p_hat - q| <= sqrt(eps) + 3 binomial sigma.
+    Gaussian mass drops below ``q_floor``, which must lie in (0, 0.5); more
+    than 10000 such bins raise ValueError. A bin passes when
+    |p_hat - q| <= sqrt(eps) + 3 binomial sigma, and the report is satisfied
+    when at least one bin was compared and every bin passes.
 
     The default draws each of the d signed weights i.i.d. from the set, the
     same model under which the symbol variance d * E[w^2] is derived. Forcing
@@ -438,19 +487,21 @@ def gaussian_fit_check(
     InvalidConfigurationError, a ValueError, before any sampling.
     """
     assignment.check_degrees([d], ws.f)
-    if delta <= 0 or eps <= 0:
-        raise ValueError("delta and eps must be positive")
+    if not (math.isfinite(delta) and delta > 0 and math.isfinite(eps) and eps > 0):
+        raise ValueError("delta and eps must be finite and positive")
+    if not 0 < q_floor < 0.5:  # the first bin holds at most 0.5
+        raise ValueError("q_floor must lie in (0, 0.5)")
     if n_samples < 1:
         raise ValueError("need at least one sample")
     scale = math.sqrt(d * weight_second_moment(ws))
     q_refs = []
-    i = 1
-    while True:
+    for i in range(1, _MAX_BINS + 2):
         q_i = q_function((i - 1) * delta) - q_function(i * delta)
         if q_i < q_floor:
             break
         q_refs.append(q_i)
-        i += 1
+    if len(q_refs) > _MAX_BINS:
+        raise ValueError(f"delta {delta} and q_floor {q_floor} ask for more than {_MAX_BINS} bins")
     edges = np.arange(len(q_refs) + 1) * delta
     counts = np.zeros(len(q_refs), dtype=np.int64)
     remaining = n_samples
@@ -480,7 +531,7 @@ def gaussian_fit_check(
         eps=eps,
         n_samples=n_samples,
         bins=tuple(bins),
-        satisfied=all_ok,
+        satisfied=bool(bins) and all_ok,  # no bin compared is no evidence of fit
     )
 
 

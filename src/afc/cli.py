@@ -189,6 +189,8 @@ def main(argv: list[str] | None = None) -> int:
         except WeightSearchError as exc:
             print(f"FAILED: {exc}")
             return 1
+        except ValueError as exc:  # a size, degree or shaping parameter the search refuses
+            parser.error(str(exc))
         pretty = ", ".join(str(e) for e in (ws.exact or ws.values))
         print(f"FOUND: {{{pretty}}}")
         return 0
@@ -225,9 +227,12 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "analyze" and args.action == "shaping":
-        ws = resolve_weight_set(args.weight_set)
         rng = rngmod.substream(args.seed, rngmod.SEARCH, 1)
-        report = gaussian_fit_check(ws, args.degree, args.delta, args.eps, args.samples, rng)
+        try:  # a set, degree or shaping parameter the check refuses is a usage error
+            ws = resolve_weight_set(args.weight_set)
+            report = gaussian_fit_check(ws, args.degree, args.delta, args.eps, args.samples, rng)
+        except ValueError as exc:
+            parser.error(str(exc))
         print(f"satisfied: {report.satisfied} over {len(report.bins)} bins")
         for b in report.bins:
             mark = "ok " if b.ok else "BAD"

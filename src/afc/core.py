@@ -323,6 +323,25 @@ def _select_min_degree(k: int, degrees: np.ndarray, rng: np.random.Generator) ->
     return np.array(out, dtype=np.int64)
 
 
+def _draw_members(probs: Sequence[float], size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` member indices drawn i.i.d. by ``probs``.
+
+    The same indices as ``rng.choice(len(probs), size, p=probs)``, leaving the
+    generator in the same state: the cdf is built as ``choice`` builds it and
+    each uniform's index counts the cdf entries at or below it, which is
+    ``searchsorted(side='right')`` without the search.
+    """
+    cdf = np.cumsum(np.asarray(probs, dtype=np.float64))
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    idx = np.zeros(size, dtype=np.min_scalar_type(len(cdf) - 1))
+    below = np.empty(size, dtype=bool)
+    for c in cdf[:-1].tolist():  # the last entry is 1.0, above every uniform
+        np.greater_equal(u, c, out=below)
+        idx += below
+    return idx
+
+
 def _assign_weights(
     ws: WeightSet,
     degrees: np.ndarray,
@@ -340,7 +359,7 @@ def _assign_weights(
     """
     values = ws.as_array()
     if assignment is WeightAssignment.WITH_REPLACEMENT:
-        return rng.choice(values, size=int(degrees.sum()), p=ws.probs)
+        return values.take(_draw_members(ws.probs, int(degrees.sum()), rng))
     d0 = int(degrees[0])
     if ws.uniform and np.all(degrees == d0):
         order = np.argsort(rng.random((len(degrees), ws.f)), axis=1)[:, :d0]

@@ -1,13 +1,19 @@
 import math
 import warnings
 from fractions import Fraction
+from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+from afc import analysis
 from afc.analysis import (
     CandidateFamily,
+    ConditionCheck,
     DegenerateEquationError,
     EnumerationCapError,
     WeightSearchError,
@@ -34,6 +40,7 @@ from afc.core import (
     WeightSet,
     build_graph,
     reciprocal_prime_weights,
+    reciprocal_weights,
     zero_sum_row_template,
 )
 from afc.harness import ExperimentConfig
@@ -223,6 +230,74 @@ class TestNonzeroCondition:
         ws = WeightSet(vals, tuple(1 / 14 for _ in vals))
         with pytest.raises(EnumerationCapError):
             check_nonzero_condition(ws, 14)
+
+    def test_largest_set_under_the_cap(self):
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41]
+        assert check_nonzero_condition(reciprocal_weights(primes), 13) == ConditionCheck(True, None)
+        planted = [Fraction(1, p) for p in primes[:12]] + [Fraction(5, 6)]
+        # _product_scan's witness, pinned: the scan passes about 88k vectors before it
+        witness = ((-1, Fraction(1, 2)), (-1, Fraction(1, 3)), (1, Fraction(5, 6)))
+        assert check_nonzero_condition(planted) == ConditionCheck(False, witness)
+
+    def test_empty_template_refused(self):
+        with pytest.raises(ValueError, match="at least one weight"):
+            check_nonzero_condition([])
+
+
+def _choice_symbol_sums(ws, d, count, assignment, rng):
+    """Symbol sums with the with-replacement members drawn by ``rng.choice``."""
+    if assignment is not WeightAssignment.WITH_REPLACEMENT:
+        raise NotImplementedError
+    rows = rng.choice(ws.as_array(), size=count * d, p=ws.probs).reshape(count, d)
+    signs = rng.integers(0, 2, size=(count, d)).astype(np.float64) * 2.0 - 1.0
+    return (rows * signs).sum(axis=1)
+
+
+def _product_scan(values, max_nonzero):
+    """The zero-sum check as one Fraction sum per vector of the 3^n scan."""
+    values = analysis._to_exact(values)
+    for coeffs in product((-1, 0, 1), repeat=len(values)):
+        nnz = sum(1 for c in coeffs if c)
+        if nnz == 0 or nnz > max_nonzero:
+            continue
+        if sum(c * v for c, v in zip(coeffs, values)) == 0:
+            return ConditionCheck(False, tuple((c, v) for c, v in zip(coeffs, values) if c))
+    return ConditionCheck(True, None)
+
+
+_MEMBERS = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    st.integers(-6, 6),
+    st.integers(-6, 6).map(float),
+)
+
+
+class TestEnumerationMatchesScan:
+    """The blocked integer enumeration returns the scan's verdict and witness."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_random_sets(self, data):
+        pool = data.draw(st.lists(_MEMBERS, min_size=1, max_size=9))
+        n = data.draw(st.integers(1, 9))
+        values = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))  # repeats likely
+        max_nonzero = data.draw(st.integers(1, n))
+        expected = _product_scan(values, max_nonzero)
+        assert analysis._enumerate_coefficients(values, max_nonzero) == expected
+        # small blocks and a short suffix table: the first hit must survive block edges
+        with mock.patch.object(analysis, "_ENUM_SUFFIX", 2), mock.patch.object(analysis, "_ENUM_BLOCK", 1):
+            assert analysis._enumerate_coefficients(values, max_nonzero) == expected
+
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_sums_past_int64(self, planted):
+        primes = [65521, 65519, 65497, 65479, 65449]
+        values = [Fraction(1, p) for p in primes]
+        if planted:
+            values[4] = values[0] + values[1] - values[2]
+        assert math.lcm(*(v.denominator for v in values)) > 2**63
+        res = analysis._enumerate_coefficients(values, 5)
+        assert res == _product_scan(values, 5)
+        assert res.ok is not planted
 
 
 class TestExactInputs:
@@ -431,6 +506,49 @@ class TestGaussianFit:
             warnings.simplefilter("error")
             with pytest.raises(InvalidConfigurationError, match="degree must be >= 1"):
                 gaussian_fit_check(RECIP, d, 0.2, 1e-4, 1000, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "ws, d, n_samples",
+        [
+            (RECIP, 1, 200_000),
+            (RECIP, 5, 200_000),
+            (RECIP, 8, 1_000_001),  # past the 1M-sample chunk edge
+            (WeightSet((1.0, 0.5, 0.25, 0.125), (0.4, 0.3, 0.2, 0.1)), 5, 200_000),
+        ],
+    )
+    def test_reports_equal_choice_sampler(self, ws, d, n_samples):
+        # the with-replacement draw, as rng.choice made it, gives the same report and end state
+        rng, ref_rng = substream(777, 4, d), substream(777, 4, d)
+        report = gaussian_fit_check(ws, d, 0.2, 1e-4, n_samples, rng)
+        with mock.patch.object(analysis, "_sample_symbol_sums", _choice_symbol_sums):
+            expected = gaussian_fit_check(ws, d, 0.2, 1e-4, n_samples, ref_rng)
+        assert report == expected
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize(
+        "delta, eps, q_floor, message",
+        [
+            (float("nan"), 1e-4, 1e-6, "finite and positive"),
+            (float("inf"), 1e-4, 1e-6, "finite and positive"),
+            (0.0, 1e-4, 1e-6, "finite and positive"),
+            (-0.2, 1e-4, 1e-6, "finite and positive"),
+            (0.2, float("nan"), 1e-6, "finite and positive"),
+            (0.2, 0.0, 1e-6, "finite and positive"),
+            (0.2, 1e-4, 0.0, r"q_floor must lie in \(0, 0.5\)"),
+            (0.2, 1e-4, 0.5, r"q_floor must lie in \(0, 0.5\)"),
+            (0.2, 1e-4, 0.9, r"q_floor must lie in \(0, 0.5\)"),
+            (0.2, 1e-4, float("nan"), r"q_floor must lie in \(0, 0.5\)"),
+            (1e-4, 1e-4, 1e-6, "more than 10000 bins"),
+        ],
+    )
+    def test_refused_parameters(self, delta, eps, q_floor, message):
+        with pytest.raises(ValueError, match=message):
+            gaussian_fit_check(RECIP, 8, delta, eps, 1000, np.random.default_rng(0), q_floor=q_floor)
+
+    def test_no_bins_is_not_satisfied(self):
+        # the first bin's mass, about delta / sqrt(2 pi), is already under q_floor
+        report = gaussian_fit_check(RECIP, 8, 1e-9, 1e-4, 1000, np.random.default_rng(0))
+        assert report.bins == () and not report.satisfied
 
     def test_csv_layout(self, tmp_path):
         rng = substream(777, 3)

@@ -26,7 +26,7 @@ from afc.core import (
     weight_second_moment,
     zero_sum_row_template,
 )
-from afc.core import _select_min_degree
+from afc.core import _draw_members, _select_min_degree
 from afc.rng import substream
 
 RECIP = reciprocal_prime_weights()
@@ -412,3 +412,29 @@ def test_build_graph_golden_fingerprint(case, k, rows, dist, selection, assignme
     g = build_graph(k, rows, dist, RECIP, policy, rng)
     assert hashlib.sha256(g.indices.tobytes() + g.weights.tobytes()).hexdigest() == digest
     assert rng.random() == next_draw
+
+
+SKEWED = WeightSet((1.0, 0.5, 0.25, 0.125), (0.4, 0.3, 0.2, 0.1))
+
+
+@pytest.mark.parametrize(
+    "ws",
+    [RECIP, SKEWED, WeightSet((1.0, 2.0, 3.0), (0.0, 0.7, 0.3))],
+    ids=["uniform", "skewed", "zero-prob"],
+)
+@pytest.mark.parametrize("size", [0, 1, 7, 100_000])
+def test_draw_members_equals_choice(ws, size):
+    rng, ref = substream(13, size), substream(13, size)
+    drawn = ws.as_array().take(_draw_members(ws.probs, size, rng))
+    expected = ref.choice(ws.as_array(), size=size, p=ws.probs)
+    assert np.array_equal(drawn, expected)
+    assert rng.random() == ref.random()
+
+
+def test_build_graph_skewed_with_replacement_fingerprint():
+    rng = substream(11, 9)
+    policy = EncoderPolicy(Selection.UNIFORM_RANDOM, WeightAssignment.WITH_REPLACEMENT)
+    g = build_graph(500, 300, DegreeDistribution((0.2, 0.3, 0.0, 0.5)), SKEWED, policy, rng)
+    digest = "142778f7603bc3590aeffd397e2ba72d753dd2e3fddf2822a2e37306f4788173"
+    assert hashlib.sha256(g.indices.tobytes() + g.weights.tobytes()).hexdigest() == digest
+    assert rng.random() == 0.9550212053290958

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import fields
 
 import numpy as np
@@ -276,8 +277,12 @@ class TestCli:
             (["weights", "check", "--values", "1/2,1/3,1/5", "--degree", "4"], "degree 4 exceeds weight set size 3"),
             (["ber-sweep", "--k-msg", "100", "--precode-rate", "0.999", "--rates", "1.0"], "outer code's 0 checks"),
             (["throughput-sweep", "--trials", "0"], "trials must be >= 1"),
+            (["analyze", "shaping", "--delta", "0", "--samples", "1000"], "delta and eps must be finite and positive"),
+            (["analyze", "shaping", "--delta", "nan", "--samples", "1000"], "delta and eps must be finite and positive"),
+            (["weights", "search", "--size", "8", "--degree", "9"], "degree 9 exceeds weight set size 8"),
         ],
-        ids=["ber-sweep", "weights-check", "outer-code", "throughput-sweep"],
+        ids=["ber-sweep", "weights-check", "outer-code", "throughput-sweep", "shaping-delta", "shaping-nan",
+             "weights-search"],
     )
     def test_refused_configuration_is_a_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -294,6 +299,12 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "outer code's 0 checks" in err and "Traceback" not in err
+
+    def test_shaping_csv_bytes_pinned(self, tmp_path, capsys):
+        out = tmp_path / "bins.csv"
+        assert cli_main(["analyze", "shaping", "--samples", "100000", "--out", str(out)]) == 0
+        digest = "c788dee0293a5e913e4fa3c85aa3bef6435e0a256c8cad122533409363537d2f"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_ber_sweep_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
