@@ -15,6 +15,10 @@ real-valued coded symbols sum_j b_j w_j with b_j in {-1,+1}:
 * how close the coded-symbol distribution is to a Gaussian, bin by bin
   (``gaussian_fit_check``), plus a search loop that proposes candidate sets
   until both conditions hold (``search_weight_set``).
+
+Every exhaustive count scales the exact values to integers by the LCM of
+their denominators and lists the signed sums in numpy (``_signed_sums``),
+at most ``_ENUM_CAP`` vectors per call.
 """
 
 from __future__ import annotations
@@ -61,9 +65,9 @@ __all__ = [
     "error_floor_bound",
 ]
 
-_ENUM_CAP = 2_000_000
+_ENUM_CAP = 2_000_000  # enumerated vectors: 3^n for n <= 13, 2^l for l <= 20
 _MAX_BINS = 10_000
-_ORACLE_MAX_VARS = 20
+_Q_FLOOR = 1e-6  # Gaussian bin mass below which the shaping check stops
 
 
 class DegenerateEquationError(ValueError):
@@ -162,64 +166,70 @@ def _to_exact(values: Sequence) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _exact_weights(ws: WeightSet) -> tuple[Fraction, ...]:
-    return _to_exact(ws.exact or ws.values)
-
-
 def _exact_probs(ws: WeightSet) -> tuple[Fraction, ...]:
     if ws.uniform:
         return tuple(Fraction(1, ws.f) for _ in range(ws.f))
     return tuple(Fraction(p) for p in ws.probs)
 
 
-def _half_sums(weights: Sequence, zero) -> dict:
-    sums = {zero: 1}
-    for w in weights:
-        nxt: dict = {}
-        for s, c in sums.items():
-            for t in (s + w, s - w):
-                nxt[t] = nxt.get(t, 0) + c
-        sums = nxt
+def _check_size(n: int, digits: int) -> None:
+    """Refuse an empty enumeration and one of more than ``_ENUM_CAP`` vectors."""
+    if n == 0:
+        raise ValueError("need at least one weight")
+    if digits**n > _ENUM_CAP:
+        raise EnumerationCapError(f"{digits}^{n} vectors exceed the enumeration cap of {_ENUM_CAP}")
+
+
+def _scaled(*groups: Sequence) -> tuple[list[list[int]], int, type]:
+    """Every group's exact values as integers over one scale, the scale, and a dtype.
+
+    The scale is the LCM of all the denominators. The dtype is int64 when
+    each group's magnitudes sum below 2^63, so no signed sum of a group
+    overflows, and object (Python ints) otherwise.
+    """
+    exact = [_to_exact(g) for g in groups]
+    scale = math.lcm(*(v.denominator for g in exact for v in g))
+    ints = [[v.numerator * (scale // v.denominator) for v in g] for g in exact]
+    dtype = np.int64 if all(sum(map(abs, g)) < 2**63 for g in ints) else object
+    return ints, scale, dtype
+
+
+def _signed_sums(ints: Sequence[int], digits: Sequence[int], dtype) -> np.ndarray:
+    """sum_i c_i * ints[i] for every c in digits^n, in the order of
+    ``itertools.product(digits, repeat=n)``."""
+    sums = np.zeros(1, dtype=dtype)
+    for a in ints:
+        sums = (sums[:, None] + np.array([c * a for c in digits], dtype=dtype)).ravel()
     return sums
 
 
-def signed_sum_table(weights: Sequence) -> dict:
-    """Multiplicity of every attainable value of sum_i b_i w_i over b in {-1,1}^l.
+def _sign_sums(weights: Sequence, *others: Sequence) -> tuple[np.ndarray, list[list[int]], int]:
+    """sum_i b_i w_i for every b in {1, -1}^l as scaled integers, ``others``
+    on the same scale, and the scale."""
+    _check_size(len(weights), 2)
+    (ints, *rest), scale, dtype = _scaled(weights, *others)
+    return _signed_sums(ints, (1, -1), dtype), rest, scale
 
-    Meet-in-the-middle: O(2^(l/2)) enumeration per half, then a convolution of
-    the two half-tables. Exact when weights are Fractions or integers.
-    """
-    l = len(weights)
-    if l < 1:
-        raise ValueError("need at least one weight")
-    if l > _ORACLE_MAX_VARS:
-        raise EnumerationCapError(f"{l} variables exceeds the enumeration bound {_ORACLE_MAX_VARS}")
-    zero = weights[0] * 0
-    half = l // 2
-    left = _half_sums(list(weights[:half]), zero)
-    right = _half_sums(list(weights[half:]), zero)
-    table: dict = {}
-    for a, ca in left.items():
-        for bb, cb in right.items():
-            s = a + bb
-            table[s] = table.get(s, 0) + ca * cb
-    return table
+
+def signed_sum_table(weights: Sequence) -> dict:
+    """Multiplicity of every attainable value of sum_i b_i w_i over b in {-1,1}^l,
+    keyed by exact Fractions; at most 20 weights."""
+    sums, _, scale = _sign_sums(weights)
+    values, counts = np.unique(sums, return_counts=True)
+    return {Fraction(int(v), scale): int(c) for v, c in zip(values, counts)}
 
 
 def unique_solution_oracle(weights: Sequence, u) -> int:
     """Exhaustive count of sign vectors b with sum_i b_i w_i == u."""
-    l = len(weights)
-    if l > _ORACLE_MAX_VARS:
-        raise EnumerationCapError(f"{l} variables exceeds the enumeration bound {_ORACLE_MAX_VARS}")
-    (target,) = _to_exact([u])
-    return signed_sum_table(_to_exact(weights)).get(target, 0)
+    sums, [[target]], _ = _sign_sums(weights, [u])
+    return int(np.count_nonzero(sums == target))
 
 
 def unique_solution_fraction(weights: Sequence) -> Fraction:
     """Fraction of sign vectors whose sum identifies them uniquely."""
-    table = signed_sum_table(_to_exact(weights))
-    unique = sum(1 for c in table.values() if c == 1)
-    return Fraction(unique, 2 ** len(weights))
+    sums, _, _ = _sign_sums(weights)
+    _, counts = np.unique(sums, return_counts=True)
+    return Fraction(int(np.count_nonzero(counts == 1)), len(sums))
 
 
 # ---------------------------------------------------------------------------
@@ -239,42 +249,22 @@ _ENUM_SUFFIX = 8  # trailing digits tabulated once: 3^8 columns
 _ENUM_BLOCK = 1 << 18  # sums held at once
 
 
-def _signed_sums(values: Sequence[int], dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Sum and nonzero count of every coefficient vector in {-1, 0, 1}^n over
-    ``values``, in the lexicographic order of ``product((-1, 0, 1), repeat=n)``."""
-    sums = np.zeros(1, dtype=dtype)
-    nnz = np.zeros(1, dtype=np.int64)
-    for a in values:
-        sums = (sums[:, None] + np.array([-a, 0, a], dtype=dtype)).ravel()
-        nnz = (nnz[:, None] + np.array([1, 0, 1])).ravel()
-    return sums, nnz
-
-
 def _enumerate_coefficients(values: Sequence, max_nonzero: int) -> ConditionCheck:
     """First coefficient vector c in {-1, 0, 1}^n, lexicographic order, with 1
     to ``max_nonzero`` nonzero entries and sum c_i v_i == 0.
 
-    The exact values are scaled by the LCM of their denominators to integers,
-    int64 when every partial sum fits and Python ints otherwise. Sums are
-    taken as a block of leading-digit sums plus a table of the trailing
-    digits' sums, so the first zero in row-major order is the first in
-    lexicographic order.
+    Sums are taken as a block of leading-digit sums plus a table of the
+    trailing digits' sums, so the first zero in row-major order is the first
+    in lexicographic order.
     """
     n = len(values)
-    if n == 0:
-        raise ValueError("need at least one weight")
-    if 3**n > _ENUM_CAP:
-        raise EnumerationCapError(
-            f"3^{n} coefficient vectors exceed the enumeration cap; "
-            "spot-check with random sampling instead"
-        )
+    _check_size(n, 3)
     values = _to_exact(values)
-    scale = math.lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (scale // v.denominator) for v in values]
-    dtype = np.int64 if sum(map(abs, ints)) < 2**63 else object
+    (ints,), _, dtype = _scaled(values)
     split = max(0, n - _ENUM_SUFFIX)
-    pre_sums, pre_nnz = _signed_sums(ints[:split], dtype)
-    suf_sums, suf_nnz = _signed_sums(ints[split:], dtype)
+    halves = (ints[:split], ints[split:])
+    pre_sums, suf_sums = (_signed_sums(h, (-1, 0, 1), dtype) for h in halves)
+    pre_nnz, suf_nnz = (_signed_sums([1] * len(h), (1, 0, 1), np.int64) for h in halves)
     cols = len(suf_sums)
     step = max(1, _ENUM_BLOCK // cols)
     for lo in range(0, len(pre_sums), step):
@@ -312,7 +302,7 @@ def check_nonzero_condition(
         d = ws.f if d is None else d
         assignment.check_degrees([d], ws.f)
         if assignment is WeightAssignment.WITH_REPLACEMENT and d >= 2:
-            w0 = _exact_weights(ws)[0]
+            w0 = _to_exact(ws.exact or ws.values)[0]
             return ConditionCheck(False, ((1, w0), (-1, w0)))
         return _enumerate_coefficients(ws.exact or ws.values, d)
 
@@ -336,19 +326,17 @@ def extension_collision_prob(weights: Sequence, ws: WeightSet):
     flips it to zero, hence the factor 1/2). The magnitude distribution is
     conditioned on the sum being non-zero.
     """
-    l = len(weights)
-    if l < 2:
+    if len(weights) < 2:
         raise ValueError("need at least two equation weights")
-    table = signed_sum_table(_to_exact(weights))
-    set_vals = _exact_weights(ws)
-    tot = 2**l
-    p_zero = Fraction(table.get(Fraction(0), 0), tot)
-    if p_zero == 1:
+    sums, [members], _ = _sign_sums(weights, ws.exact or ws.values)
+    magnitudes = np.abs(sums)
+    nonzero = int(np.count_nonzero(magnitudes))
+    if nonzero == 0:
         raise DegenerateEquationError("every sign assignment sums to zero")
-    acc = Fraction(0)
-    for q, a in zip(_exact_probs(ws), set_vals):
-        hits = table.get(a, 0) + table.get(-a, 0)
-        acc += q * Fraction(hits, tot) / (1 - p_zero)
+    acc = sum(
+        q * Fraction(int(np.count_nonzero(magnitudes == a)), nonzero)
+        for q, a in zip(_exact_probs(ws), members)
+    )
     return acc / 2
 
 
@@ -458,6 +446,15 @@ def _sample_symbol_sums(
     return (rows * signs).sum(axis=1)
 
 
+def _check_shaping_parameters(delta: float, eps: float, n_samples: int, q_floor: float) -> None:
+    if not (math.isfinite(delta) and delta > 0 and math.isfinite(eps) and eps > 0):
+        raise ValueError("delta and eps must be finite and positive")
+    if not 0 < q_floor < 0.5:  # the first bin holds at most 0.5
+        raise ValueError("q_floor must lie in (0, 0.5)")
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
+
+
 def gaussian_fit_check(
     ws: WeightSet,
     d: int,
@@ -466,7 +463,7 @@ def gaussian_fit_check(
     n_samples: int,
     rng: np.random.Generator,
     assignment: WeightAssignment = WeightAssignment.WITH_REPLACEMENT,
-    q_floor: float = 1e-6,
+    q_floor: float = _Q_FLOOR,
 ) -> ShapingReport:
     """Monte Carlo bin-by-bin Gaussian fit of the standardized symbol sum.
 
@@ -487,12 +484,7 @@ def gaussian_fit_check(
     InvalidConfigurationError, a ValueError, before any sampling.
     """
     assignment.check_degrees([d], ws.f)
-    if not (math.isfinite(delta) and delta > 0 and math.isfinite(eps) and eps > 0):
-        raise ValueError("delta and eps must be finite and positive")
-    if not 0 < q_floor < 0.5:  # the first bin holds at most 0.5
-        raise ValueError("q_floor must lie in (0, 0.5)")
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
+    _check_shaping_parameters(delta, eps, n_samples, q_floor)
     scale = math.sqrt(d * weight_second_moment(ws))
     q_refs = []
     for i in range(1, _MAX_BINS + 2):
@@ -587,25 +579,23 @@ def search_weight_set(
     rng: np.random.Generator,
     budget: int = 64,
     n_samples: int = 2_000_000,
-    condition_assignment: WeightAssignment = WeightAssignment.WITHOUT_REPLACEMENT,
-    shaping_assignment: WeightAssignment = WeightAssignment.WITH_REPLACEMENT,
 ) -> WeightSet:
     """Propose candidate sets until one passes both design conditions.
 
     The zero-sum condition is checked under the encoder's draw policy
     (distinct members per row); the Gaussian fit under the i.i.d. model the
     shaping analysis assumes. Deterministic for a fixed generator state.
-    Raises WeightSearchError once the proposal budget is exhausted.
+    Refuses, before any proposal, a degree the set cannot serve without
+    replacement and any parameter ``gaussian_fit_check`` refuses. Raises
+    WeightSearchError once the proposal budget is exhausted.
     """
-    if f < 1 or d < 1:
-        raise ValueError("f and d must be >= 1")
+    WeightAssignment.WITHOUT_REPLACEMENT.check_degrees([d], f)  # also refuses f < 1
+    _check_shaping_parameters(delta, eps, n_samples, _Q_FLOOR)
     for attempt in range(budget):
         candidate = _propose(family, f, attempt, rng)
-        cond = check_nonzero_condition(candidate, d, condition_assignment)
-        if not cond.ok:
+        if not check_nonzero_condition(candidate, d).ok:
             continue
-        shaping = gaussian_fit_check(candidate, d, delta, eps, n_samples, rng, shaping_assignment)
-        if shaping.satisfied:
+        if gaussian_fit_check(candidate, d, delta, eps, n_samples, rng).satisfied:
             return candidate
     raise WeightSearchError(
         f"no weight set with f={f}, d={d} passed both conditions in {budget} proposals",

@@ -196,9 +196,12 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "analyze" and args.action == "unique-solution":
-        weights = _parse_weights(args.weights)
-        l_max = args.l_max or len(weights)
-        rep = ambiguity_recursion(weights, l_max)
+        try:  # unparsable weights, an l_max the recursion refuses or one past the cap
+            weights = _parse_weights(args.weights)
+            l_max = args.l_max or len(weights)
+            rep = ambiguity_recursion(weights, l_max)
+        except ValueError as exc:
+            parser.error(str(exc))
         print(f"e_{l_max} = {rep.e_l} (unique-solution fraction {rep.unique_fraction})")
         for l, (E, e) in enumerate(zip(rep.E_trace, rep.e_trace[1:]), start=2):
             print(f"  step {l} -> {l + 1}: collision prob {E}, e = {e}")
@@ -209,11 +212,14 @@ def main(argv: list[str] | None = None) -> int:
         dist = DegreeDistribution.fixed(8)
         policy = EncoderPolicy(Selection.MIN_DEGREE_FIRST, WeightAssignment.WITHOUT_REPLACEMENT)
         rng = rngmod.substream(args.seed, rngmod.GRAPH)
-        graph = build_graph(args.k, args.rows, dist, ws, policy, rng)
-        flips = [int(x) for x in args.flips.split(",")]
-        b = np.ones(args.k)
-        sigma = float(np.sqrt(snr_to_sigma(args.snr_db)))
-        p = pairwise_error_prob(graph, b, flips, sigma)
+        try:  # a size, row count, flip index or SNR the instance refuses
+            graph = build_graph(args.k, args.rows, dist, ws, policy, rng)
+            flips = [int(x) for x in args.flips.split(",")]
+            b = np.ones(args.k)
+            sigma = float(np.sqrt(snr_to_sigma(args.snr_db)))
+            p = pairwise_error_prob(graph, b, flips, sigma)
+        except ValueError as exc:
+            parser.error(str(exc))
         print(f"pairwise error probability (closed form): {p:.6e}")
         if args.mc_draws:
             noise_rng = rngmod.substream(args.seed, rngmod.NOISE)

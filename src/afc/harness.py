@@ -236,21 +236,20 @@ def _measure_point(
     snr_db: float,
     point_tag: int,
     abort_ber: float | None = None,
-    extend: bool = True,
 ) -> SweepPoint:
     """Monte Carlo BER at one (variant, N, SNR) point with adaptive trials.
 
-    Runs cfg.trials frames, then (when ``extend``) keeps going up to
-    max_trial_factor x until the point holds min_error_events bit errors;
-    points still short of that are flagged low-confidence. With
-    ``abort_ber``, stops early once the error count already forces the
-    estimate above it (bisection probes discard hopeless points quickly).
+    Runs cfg.trials frames, then keeps going up to max_trial_factor x until
+    the point holds min_error_events bit errors; points still short of that
+    are flagged low-confidence. A bisection probe passes ``abort_ber``: it
+    runs at most cfg.trials frames and stops early once the error count
+    already forces the estimate above it, discarding hopeless points quickly.
     """
     bit_errors = 0
     frame_errors = 0
     iters_total = 0
     trials_run = 0
-    max_trials = cfg.trials * cfg.max_trial_factor if extend else cfg.trials
+    max_trials = cfg.trials if abort_ber is not None else cfg.trials * cfg.max_trial_factor
     while True:
         errors, iters = _run_frame(cfg, setup, n_symbols, snr_db, point_tag, trials_run)
         trials_run += 1
@@ -337,7 +336,7 @@ def run_throughput_sweep(cfg: ExperimentConfig, target_ber: float | None = None)
         n_hi = 2 * math.ceil(setup.k_msg / (0.55 * cap_true))
         feasible: SweepPoint | None = None
         while n_hi <= n_budget:
-            pt = _measure_point(cfg, setup, n_hi, snr_db, point_tag, abort_ber=target, extend=False)
+            pt = _measure_point(cfg, setup, n_hi, snr_db, point_tag, abort_ber=target)
             if pt.ber <= target:
                 feasible = pt
                 break
@@ -352,7 +351,7 @@ def run_throughput_sweep(cfg: ExperimentConfig, target_ber: float | None = None)
         n_hi = feasible.n_symbols
         while n_hi - n_lo > max(2, int(0.02 * n_hi)):
             mid = (n_lo + n_hi) // 2
-            pt = _measure_point(cfg, setup, mid, snr_db, point_tag, abort_ber=target, extend=False)
+            pt = _measure_point(cfg, setup, mid, snr_db, point_tag, abort_ber=target)
             if pt.ber <= target:
                 n_hi, feasible = mid, pt
             else:

@@ -39,6 +39,8 @@ __all__ = [
 
 _MSG_CLIP = 30.0
 _MAG_FLOOR = 1e-12
+_TRIES = 50  # check rows a variable may try before it accepts a short cycle
+_MAX_ATTEMPTS = 20  # constructions tried before giving up on a full-rank code
 _BYTE_PARITY = np.array([bin(b).count("1") & 1 for b in range(256)], dtype=np.uint8)
 
 
@@ -143,12 +145,12 @@ def _least_loaded(check_deg: np.ndarray, dv: int, rng: np.random.Generator) -> n
     return np.sort(np.argpartition(check_deg + rng.random(check_deg.size), dv - 1)[:dv])
 
 
-def _greedy_rows(n: int, m: int, dv: int, rng: np.random.Generator, tries: int = 50) -> list:
+def _greedy_rows(n: int, m: int, dv: int, rng: np.random.Generator) -> list:
     """Check rows (ascending variable indices) of a variable-regular graph.
 
     Variables attach in order. A variable first tries the dv least-loaded
     checks. If two of them already share a variable, it draws the other
-    ``tries - 1`` tries as one block of dv checks each, with replacement,
+    ``_TRIES - 1`` tries as one block of dv checks each, with replacement,
     and takes the first row whose checks are distinct and pairwise unused;
     given success, the pick is uniform over such subsets. If no row
     qualifies, it takes the dv least-loaded checks under a fresh tie draw
@@ -164,7 +166,7 @@ def _greedy_rows(n: int, m: int, dv: int, rng: np.random.Generator, tries: int =
         cand = _least_loaded(check_deg, dv, rng)
         fresh = not used[cand[iu], cand[ju]].any()
         if not fresh:
-            block = np.sort(rng.integers(0, m, (tries - 1, dv)), axis=1)
+            block = np.sort(rng.integers(0, m, (_TRIES - 1, dv)), axis=1)
             ok = (np.diff(block, axis=1) > 0).all(axis=1) & ~used[block[:, iu], block[:, ju]].any(axis=1)
             hit = np.flatnonzero(ok)
             if hit.size:
@@ -185,7 +187,6 @@ def ldpc_generate(
     rate: float,
     var_degree: int = 3,
     rng: np.random.Generator | None = None,
-    max_attempts: int = 20,
 ) -> LdpcCode:
     """Generate a regular-variable-degree sparse code at the requested rate."""
     if not 0.0 < rate < 1.0:
@@ -195,13 +196,13 @@ def ldpc_generate(
         raise ValueError(f"variable degree must lie in [1, m = {m}]")
     if rng is None:
         rng = np.random.default_rng()
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         rows = _greedy_rows(n, m, var_degree, rng)
         try:
             return _from_check_rows(n, rows)
         except LdpcConstructionError:
             continue
-    raise LdpcConstructionError(f"no full-rank construction in {max_attempts} attempts")
+    raise LdpcConstructionError(f"no full-rank construction in {_MAX_ATTEMPTS} attempts")
 
 
 def ldpc_encode(code: LdpcCode, msg: np.ndarray) -> np.ndarray:

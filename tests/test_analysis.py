@@ -300,6 +300,144 @@ class TestEnumerationMatchesScan:
         assert res.ok is not planted
 
 
+def _half_sums(weights, zero):
+    """Multiplicity of every signed sum of ``weights``, one weight at a time."""
+    sums = {zero: 1}
+    for w in weights:
+        nxt = {}
+        for s, c in sums.items():
+            for t in (s + w, s - w):
+                nxt[t] = nxt.get(t, 0) + c
+        sums = nxt
+    return sums
+
+
+def _dict_signed_sum_table(weights):
+    """The sign-vector sum table as a meet-in-the-middle convolution of Fraction dicts."""
+    zero = weights[0] * 0
+    half = len(weights) // 2
+    left = _half_sums(list(weights[:half]), zero)
+    right = _half_sums(list(weights[half:]), zero)
+    table = {}
+    for a, ca in left.items():
+        for bb, cb in right.items():
+            table[a + bb] = table.get(a + bb, 0) + ca * cb
+    return table
+
+
+def _dict_collision_prob(table, l, ws):
+    """extension_collision_prob read off a sign-vector sum table."""
+    tot = 2**l
+    p_zero = Fraction(table.get(Fraction(0), 0), tot)
+    if p_zero == 1:
+        return "degenerate"
+    acc = Fraction(0)
+    for q, a in zip(analysis._exact_probs(ws), analysis._to_exact(ws.exact or ws.values)):
+        acc += q * Fraction(table.get(a, 0) + table.get(-a, 0), tot) / (1 - p_zero)
+    return acc / 2
+
+
+def _assert_matches_dict_reference(weights, targets, sets):
+    """Every sign-vector routine equals its reading of the Fraction-dict table."""
+    table = _dict_signed_sum_table(analysis._to_exact(weights))
+    got = signed_sum_table(weights)
+    assert got == table and all(type(k) is Fraction for k in got)
+    unique = sum(1 for c in table.values() if c == 1)
+    assert unique_solution_fraction(weights) == Fraction(unique, 2 ** len(weights))
+    for u in targets:
+        (target,) = analysis._to_exact([u])
+        assert unique_solution_oracle(weights, u) == table.get(target, 0)
+    for ws in sets:
+        try:
+            prob = extension_collision_prob(weights, ws)
+        except DegenerateEquationError:
+            prob = "degenerate"
+        assert prob == _dict_collision_prob(table, len(weights), ws)
+
+
+_SET_MEMBERS = st.fractions(min_value=Fraction(1, 12), max_value=6, max_denominator=12)
+
+
+class TestSignVectorEnumeration:
+    """The scaled-integer enumeration gives the Fraction-dict convolution's
+    tables, counts and probabilities."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_random_rationals(self, data):
+        pool = data.draw(st.lists(_MEMBERS, min_size=1, max_size=6))  # zeros and negatives included
+        l = data.draw(st.integers(2, 10))
+        weights = data.draw(st.lists(st.sampled_from(pool), min_size=l, max_size=l))  # repeats likely
+        exact = analysis._to_exact(weights)
+        signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=l, max_size=l))
+        targets = [
+            sum(b * w for b, w in zip(signs, exact)),  # attainable
+            sum(abs(w) for w in exact) + 1,  # beyond every sum
+            Fraction(1, 13),  # off the grid of denominators up to 12
+            data.draw(_MEMBERS),
+        ]
+        # members that equal running-sum magnitudes make collisions likely
+        magnitudes = sorted({abs(t) for t in [targets[0], *exact] if t != 0})
+        member = st.sampled_from(magnitudes) | _SET_MEMBERS if magnitudes else _SET_MEMBERS
+        members = data.draw(st.lists(member, min_size=1, max_size=4, unique=True))
+        shares = data.draw(st.lists(st.integers(1, 9), min_size=len(members), max_size=len(members)))
+        probs = tuple(c / sum(shares) for c in shares)
+        sets = [
+            WeightSet.uniform_exact(members),
+            WeightSet(tuple(float(m) for m in members), probs, tuple(members)),
+        ]
+        _assert_matches_dict_reference(weights, targets, sets)
+
+    def test_reciprocal_primes_past_int64(self):
+        weights = [Fraction(1, p) for p in analysis._primes(16)]
+        assert analysis._scaled(weights)[2] is object
+        total = sum(weights)
+        targets = [total, weights[0] - total, Fraction(1, 59 * 61), 0]
+        sets = [
+            WeightSet.uniform_exact([total, weights[1], Fraction(1, 7)]),
+            WeightSet((float(total), 0.5, 0.25), (0.5, 0.25, 0.25), (total, weights[0], Fraction(1, 4))),
+        ]
+        _assert_matches_dict_reference(weights, targets, sets)
+        assert unique_solution_oracle(weights, total) == 1
+
+    @pytest.mark.parametrize(
+        "weights, dtype",
+        [([2**62, 2**62 - 2, 1], np.int64), ([2**62, 2**62 - 1, 1], object)],  # largest sum 2^63 - 1, 2^63
+    )
+    def test_int64_edge(self, weights, dtype):
+        assert analysis._scaled(weights)[2] is dtype
+        _assert_matches_dict_reference(weights, [sum(weights), 2**62 + 2], [WeightSet.uniform_exact([2**62 - 1])])
+
+    def test_sums_past_int64_with_collisions(self):
+        weights = [Fraction(1, p) for p in analysis._primes(16)] + [Fraction(5, 6)]  # 5/6 = 1/2 + 1/3
+        assert analysis._scaled(weights)[2] is object
+        ws = WeightSet.uniform_exact([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
+        _assert_matches_dict_reference(weights, [Fraction(5, 6), 0], [ws])
+        assert unique_solution_fraction(weights) < 1
+
+    @pytest.mark.parametrize(
+        "routine",
+        [
+            signed_sum_table,
+            unique_solution_fraction,
+            lambda w: unique_solution_oracle(w, 0),
+            lambda w: extension_collision_prob(w, WeightSet.uniform_exact([Fraction(1)])),
+            lambda w: ambiguity_recursion(w + [1], len(w) + 1),  # the last step enumerates l weights
+        ],
+        ids=["table", "fraction", "oracle", "collision", "recursion"],
+    )
+    def test_cap_edge(self, routine):
+        # integer weights keep the 2^20 sums in int64
+        routine(list(range(1, 21)))
+        with pytest.raises(EnumerationCapError):
+            routine(list(range(1, 22)))
+
+    @pytest.mark.parametrize("routine", [signed_sum_table, unique_solution_fraction, lambda w: unique_solution_oracle(w, 0)])
+    def test_empty_refused(self, routine):
+        with pytest.raises(ValueError, match="at least one weight"):
+            routine([])
+
+
 class TestExactInputs:
     """The certificates run in exact arithmetic: a float that is not an
     integer is refused rather than tested for zero in binary floating point."""
@@ -581,3 +719,18 @@ class TestSearch:
         b = search_weight_set(4, 4, 0.3, 1e-2, CandidateFamily.RECIPROCAL_INTEGERS,
                               substream(51, 3), n_samples=200_000)
         assert a.values == b.values
+
+    @pytest.mark.parametrize(
+        "f, d, delta, message",
+        [
+            (4, 4, float("nan"), "finite and positive"),
+            (4, 5, 0.2, "degree 5 exceeds weight set size 4"),
+            (4, 0, 0.2, "degree must be >= 1"),
+        ],
+    )
+    def test_refused_before_any_proposal(self, f, d, delta, message):
+        rng = substream(52, 1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            search_weight_set(f, d, delta, 1e-4, CandidateFamily.RANDOM_RATIONAL, rng, n_samples=1000)
+        assert rng.bit_generator.state == state

@@ -280,9 +280,14 @@ class TestCli:
             (["analyze", "shaping", "--delta", "0", "--samples", "1000"], "delta and eps must be finite and positive"),
             (["analyze", "shaping", "--delta", "nan", "--samples", "1000"], "delta and eps must be finite and positive"),
             (["weights", "search", "--size", "8", "--degree", "9"], "degree 9 exceeds weight set size 8"),
+            (["analyze", "unique-solution", "--weights", "1,2", "--l-max", "1"], "l_max must be >= 2"),
+            (["analyze", "unique-solution", "--weights", "1,2", "--l-max", "5"], "need l_max weights"),
+            (["analyze", "unique-solution", "--weights", "x"], "Invalid literal for Fraction"),
+            (["analyze", "pairwise", "--flips", "99"], "flip index out of range"),
         ],
         ids=["ber-sweep", "weights-check", "outer-code", "throughput-sweep", "shaping-delta", "shaping-nan",
-             "weights-search"],
+             "weights-search", "unique-solution-l-max-1", "unique-solution-l-max-5", "unique-solution-weights",
+             "pairwise-flips"],
     )
     def test_refused_configuration_is_a_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
