@@ -119,8 +119,8 @@ def pairwise_error_prob(
     candidate codewords.
     """
     t = difference_projection(graph, b, flip_set)
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError("sigma must be finite and positive")
     if graph.m == 0:
         return 0.5
     return q_function(math.sqrt(float(np.dot(t, t))) / sigma)
@@ -368,6 +368,7 @@ def ambiguity_recursion(weights: Sequence, l_max: int, ws: WeightSet | None = No
         raise ValueError("l_max must be >= 2")
     if len(weights) < l_max:
         raise ValueError("need l_max weights")
+    _check_size(l_max - 1, 2)  # the last step enumerates l_max - 1 weights
     vals = _to_exact(weights[:l_max])
     e = Fraction(1, 2) if vals[0] == vals[1] else Fraction(0)
     e_trace = [e]

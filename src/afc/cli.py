@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+import typing
 from dataclasses import fields
-from fractions import Fraction
 
 import numpy as np
 
@@ -30,70 +30,44 @@ from .core import (
     zero_sum_row_template,
 )
 from .harness import (
-    VARIANTS,
     ExperimentConfig,
-    check_outer_code,
     config_from_mapping,
     parse_config_file,
+    parse_weights,
     resolve_weight_set,
     run_ber_sweep,
     run_throughput_sweep,
 )
 
 
-def _sweep_flags(p: argparse.ArgumentParser) -> None:
+def _sweep_parser(sub, name: str, summary: str) -> None:
+    """A sweep subcommand: ``--config`` plus one dashed flag per config key."""
+    p = sub.add_parser(name, help=summary)
     p.add_argument("--config", help="key = value config file; flags override it")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="CSV output path")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--noiseless", action="store_const", const=True, default=None)
-    p.add_argument("--k-msg", type=int, dest="k_msg")
-    p.add_argument("--snr-db", dest="snr_db", help="comma-separated dB values")
-    p.add_argument("--precode-rate", type=float, dest="precode_rate")
-    p.add_argument("--weight-set", dest="weight_set")
-    p.add_argument("--assignment", choices=[a.value for a in WeightAssignment])
-    p.add_argument("--per-complex-noise", action="store_const", const=True, default=None,
-                   dest="per_complex_noise",
-                   help="quoted SNR sets noise variance per complex sample")
-    p.add_argument("--max-iters", type=int, dest="max_iters")
-    p.add_argument("--damping", type=float)
-    p.add_argument("--gnuplot", action="store_const", const=True, default=None)
+    hints = typing.get_type_hints(ExperimentConfig)
+    for f in fields(ExperimentConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if hints[f.name] is bool:
+            p.add_argument(flag, dest=f.name, action="store_const", const=True)
+        else:
+            shown = ",".join(map(str, f.default)) if isinstance(f.default, tuple) else f.default
+            p.add_argument(flag, dest=f.name, help=f"default {shown}")
 
 
-def _build_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> ExperimentConfig:
-    """Config file values, overridden by every flag named after a config field.
-
-    A refused configuration exits through ``parser.error`` (code 2).
-    """
+def _config(args: argparse.Namespace) -> ExperimentConfig:
+    """Config file values, overridden by every flag given."""
     mapping = parse_config_file(args.config) if args.config else {}
     for f in fields(ExperimentConfig):
-        if getattr(args, f.name, None) is not None:
+        if getattr(args, f.name) is not None:
             mapping[f.name] = getattr(args, f.name)
-    try:
-        cfg = config_from_mapping(mapping)
-        if args.command == "throughput-sweep":  # it builds the outer code whatever cfg.variants holds
-            check_outer_code(cfg)
-        return cfg
-    except ValueError as exc:
-        parser.error(str(exc))
+    return config_from_mapping(mapping)
 
 
-def _parse_weights(text: str):
-    return [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
-
-
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="afc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_ber = sub.add_parser("ber-sweep", help="BER vs rate at fixed SNR")
-    _sweep_flags(p_ber)
-    p_ber.add_argument("--rates", help="comma-separated rate grid (message bits per complex use)")
-    p_ber.add_argument("--variants", help="subset of: " + ",".join(VARIANTS))
-
-    p_thr = sub.add_parser("throughput-sweep", help="achievable rate vs SNR at target BER")
-    _sweep_flags(p_thr)
-    p_thr.add_argument("--target-ber", type=float, dest="target_ber")
+    _sweep_parser(sub, "ber-sweep", "BER vs rate at fixed SNR")
+    _sweep_parser(sub, "throughput-sweep", "achievable rate vs SNR at target BER")
 
     p_w = sub.add_parser("weights", help="weight-set design conditions")
     wsub = p_w.add_subparsers(dest="action", required=True)
@@ -136,10 +110,22 @@ def main(argv: list[str] | None = None) -> int:
     p_as.add_argument("--seed", type=int, default=0)
     p_as.add_argument("--out", default=None, help="write the per-bin CSV here")
 
-    args = parser.parse_args(argv)
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command. A refused input (a ValueError) is a usage error, exit 2."""
+    parser = _parser()
+    args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "ber-sweep":
-        results = run_ber_sweep(_build_config(parser, args))
+        results = run_ber_sweep(_config(args))
         for res in results:
             for pt in res.points:
                 flag = " low-confidence" if pt.low_confidence else ""
@@ -150,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "throughput-sweep":
-        res = run_throughput_sweep(_build_config(parser, args))
+        res = run_throughput_sweep(_config(args))
         for pt in res.points:
             status = "" if pt.reached else " (unreached)"
             print(
@@ -160,17 +146,13 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "weights" and args.action == "check":
-        assignment = WeightAssignment(args.assignment)
         if args.zero_sum_template:
-            target = zero_sum_row_template()
-            check = check_nonzero_condition(target)
+            check = check_nonzero_condition(zero_sum_row_template())
+        elif args.values:
+            ws = resolve_weight_set(args.values)
+            check = check_nonzero_condition(ws, args.degree, WeightAssignment(args.assignment))
         else:
-            if not args.values:
-                parser.error("weights check needs --values or --zero-sum-template")
-            try:  # a set or degree the encoder refuses is a usage error
-                check = check_nonzero_condition(resolve_weight_set(args.values), args.degree, assignment)
-            except ValueError as exc:
-                parser.error(str(exc))
+            raise ValueError("weights check needs --values or --zero-sum-template")
         if check.ok:
             print("PASS: no signed sub-selection sums to zero")
             return 0
@@ -189,37 +171,31 @@ def main(argv: list[str] | None = None) -> int:
         except WeightSearchError as exc:
             print(f"FAILED: {exc}")
             return 1
-        except ValueError as exc:  # a size, degree or shaping parameter the search refuses
-            parser.error(str(exc))
         pretty = ", ".join(str(e) for e in (ws.exact or ws.values))
         print(f"FOUND: {{{pretty}}}")
         return 0
 
     if args.command == "analyze" and args.action == "unique-solution":
-        try:  # unparsable weights, an l_max the recursion refuses or one past the cap
-            weights = _parse_weights(args.weights)
-            l_max = args.l_max or len(weights)
-            rep = ambiguity_recursion(weights, l_max)
-        except ValueError as exc:
-            parser.error(str(exc))
+        weights = parse_weights(args.weights)
+        l_max = len(weights) if args.l_max is None else args.l_max
+        rep = ambiguity_recursion(weights, l_max)
         print(f"e_{l_max} = {rep.e_l} (unique-solution fraction {rep.unique_fraction})")
         for l, (E, e) in enumerate(zip(rep.E_trace, rep.e_trace[1:]), start=2):
             print(f"  step {l} -> {l + 1}: collision prob {E}, e = {e}")
         return 0
 
     if args.command == "analyze" and args.action == "pairwise":
+        if args.mc_draws < 0:
+            raise ValueError("mc_draws must be >= 0")
         ws = resolve_weight_set("reciprocal-primes")
         dist = DegreeDistribution.fixed(8)
         policy = EncoderPolicy(Selection.MIN_DEGREE_FIRST, WeightAssignment.WITHOUT_REPLACEMENT)
         rng = rngmod.substream(args.seed, rngmod.GRAPH)
-        try:  # a size, row count, flip index or SNR the instance refuses
-            graph = build_graph(args.k, args.rows, dist, ws, policy, rng)
-            flips = [int(x) for x in args.flips.split(",")]
-            b = np.ones(args.k)
-            sigma = float(np.sqrt(snr_to_sigma(args.snr_db)))
-            p = pairwise_error_prob(graph, b, flips, sigma)
-        except ValueError as exc:
-            parser.error(str(exc))
+        graph = build_graph(args.k, args.rows, dist, ws, policy, rng)
+        flips = [int(x) for x in args.flips.split(",")]
+        b = np.ones(args.k)
+        sigma = float(np.sqrt(snr_to_sigma(args.snr_db)))
+        p = pairwise_error_prob(graph, b, flips, sigma)
         print(f"pairwise error probability (closed form): {p:.6e}")
         if args.mc_draws:
             noise_rng = rngmod.substream(args.seed, rngmod.NOISE)
@@ -232,25 +208,18 @@ def main(argv: list[str] | None = None) -> int:
             print(f"Monte Carlo estimate over {args.mc_draws} draws: {wins / args.mc_draws:.6e}")
         return 0
 
-    if args.command == "analyze" and args.action == "shaping":
-        rng = rngmod.substream(args.seed, rngmod.SEARCH, 1)
-        try:  # a set, degree or shaping parameter the check refuses is a usage error
-            ws = resolve_weight_set(args.weight_set)
-            report = gaussian_fit_check(ws, args.degree, args.delta, args.eps, args.samples, rng)
-        except ValueError as exc:
-            parser.error(str(exc))
-        print(f"satisfied: {report.satisfied} over {len(report.bins)} bins")
-        for b in report.bins:
-            mark = "ok " if b.ok else "BAD"
-            print(f"  bin {b.index:2d} [{mark}] p={b.p_hat:.6f} q={b.q_ref:.6f} gap^2={b.gap_sq:.3e}")
-        if args.out:
-            report.write_csv(args.out)
-            print(f"wrote {args.out}")
-        return 0
-
-    parser.error("unhandled command")
-    return 2
-
+    # analyze shaping, the one command left
+    rng = rngmod.substream(args.seed, rngmod.SEARCH, 1)
+    ws = resolve_weight_set(args.weight_set)
+    report = gaussian_fit_check(ws, args.degree, args.delta, args.eps, args.samples, rng)
+    print(f"satisfied: {report.satisfied} over {len(report.bins)} bins")
+    for b in report.bins:
+        mark = "ok " if b.ok else "BAD"
+        print(f"  bin {b.index:2d} [{mark}] p={b.p_hat:.6f} q={b.q_ref:.6f} gap^2={b.gap_sq:.3e}")
+    if args.out:
+        report.write_csv(args.out)
+        print(f"wrote {args.out}")
+    return 0
 
 if __name__ == "__main__":
     sys.exit(main())

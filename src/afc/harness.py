@@ -45,6 +45,7 @@ __all__ = [
     "emit_csv",
     "parse_csv",
     "parse_config_file",
+    "parse_weights",
     "resolve_weight_set",
 ]
 
@@ -96,17 +97,21 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.rates is not None and any(b <= a for a, b in zip(self.rates, self.rates[1:])):
             raise ValueError("rate grid must be strictly increasing")
-        if self.rates and not self.rates[0] > 0.0:
-            raise ValueError("rates must be > 0 bits per channel use")
+        if self.rates and not all(0.0 < r < math.inf for r in self.rates):
+            raise ValueError("rates must be finite and > 0 bits per channel use")
         for v in self.variants:
             if v not in VARIANTS:
                 raise ValueError(f"unknown variant {v!r}")
+        if not all(math.isfinite(s) for s in self.snr_db):
+            raise ValueError("snr_db entries must be finite")
         if not 0.0 < self.target_ber < 1.0:
             raise ValueError("target_ber must lie in (0, 1)")
         assignment = WeightAssignment(self.assignment)  # ValueError for an unknown name
         if self.degree > MAX_ENUM_DEGREE:
             raise ValueError(f"degree must be <= {MAX_ENUM_DEGREE}")
         assignment.check_degrees([self.degree], resolve_weight_set(self.weight_set).f)
+        if self.degree > self.k_msg and any(not v.endswith("+precode") for v in self.variants):
+            raise ValueError(f"degree {self.degree} exceeds k_msg {self.k_msg}")
         if self.ldpc_var_degree < 1:
             raise ValueError("ldpc_var_degree must be >= 1")
         if "min-degree+precode" in self.variants:
@@ -147,11 +152,19 @@ class SweepResult:
     points: list[SweepPoint] = field(default_factory=list)
 
 
+def parse_weights(text: str) -> list[Fraction]:
+    """Exact weights from comma-separated values like '1/2,1/3'; ValueError if unparsable."""
+    try:
+        return [Fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in weights {text!r}") from None
+
+
 def resolve_weight_set(spec: str) -> WeightSet:
     """Weight set from its config name: 'reciprocal-primes' or values like '1/2,1/3'."""
     if spec == "reciprocal-primes":
         return reciprocal_prime_weights()
-    return WeightSet.uniform_exact(Fraction(p.strip()) for p in spec.split(",") if p.strip())
+    return WeightSet.uniform_exact(parse_weights(spec))
 
 
 def _outer_code_size(k_msg: int, precode_rate: float) -> tuple[int, int]:
@@ -161,10 +174,13 @@ def _outer_code_size(k_msg: int, precode_rate: float) -> tuple[int, int]:
 
 
 def check_outer_code(cfg: ExperimentConfig) -> None:
-    """Refuse a config whose outer code has fewer checks than its variable degree."""
-    _, m = _outer_code_size(cfg.k_msg, cfg.precode_rate)
+    """Refuse a config whose outer code has fewer checks than its variable
+    degree, or fewer bits than the fountain rows' degree."""
+    n, m = _outer_code_size(cfg.k_msg, cfg.precode_rate)
     if cfg.ldpc_var_degree > m:
         raise ValueError(f"ldpc_var_degree {cfg.ldpc_var_degree} exceeds the outer code's {m} checks")
+    if cfg.degree > n:
+        raise ValueError(f"degree {cfg.degree} exceeds the outer code's {n} bits")
 
 
 class _VariantSetup:
@@ -455,5 +471,8 @@ def config_from_mapping(mapping: dict, base: ExperimentConfig | None = None) -> 
         if key not in hints:
             raise ValueError(f"unknown config key {key!r}")
         if value is not None:
-            kwargs[key] = _parse_value(hints[key], value)
+            try:
+                kwargs[key] = _parse_value(hints[key], value)
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
     return replace(base or ExperimentConfig(), **kwargs)

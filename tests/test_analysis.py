@@ -201,6 +201,11 @@ class TestPairwiseErrorProb:
         with pytest.raises(ValueError):
             pairwise_error_prob(g, np.ones(10), [11], 0.5)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, 0.0, -0.5])
+    def test_sigma_must_be_finite_and_positive(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and positive"):
+            pairwise_error_prob(self.graph(), np.ones(10), [1], sigma)
+
 
 class TestNonzeroCondition:
     def test_small_reciprocal_set(self):
@@ -558,6 +563,14 @@ class TestCollisionProb:
 
 
 class TestAmbiguityRecursion:
+    def test_refused_past_cap_before_enumerating(self, monkeypatch):
+        # the last step would enumerate 2^21 sign vectors; no prefix is enumerated first
+        enumerate_ = mock.Mock(side_effect=AssertionError("enumerated a prefix"))
+        monkeypatch.setattr(analysis, "_signed_sums", enumerate_)
+        with pytest.raises(EnumerationCapError):
+            ambiguity_recursion(list(range(1, 23)), 22)
+        enumerate_.assert_not_called()
+
     def test_distinct_base_case(self):
         rep = ambiguity_recursion([Fraction(1, 2), Fraction(1, 3)], 2)
         assert rep.e_l == 0

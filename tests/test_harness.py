@@ -4,6 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from afc import cli
 from afc.cli import main as cli_main
 from afc.harness import (
     CSV_COLUMNS,
@@ -237,6 +238,28 @@ class TestConfig:
     def test_without_replacement_allows_smaller_degree(self):
         assert ExperimentConfig(degree=5, assignment="without-replacement").degree == 5
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"snr_db": (15.0, float("nan"))}, "snr_db entries must be finite"),
+            ({"snr_db": (float("-inf"),)}, "snr_db entries must be finite"),
+            ({"rates": (1.0, float("nan"), 2.0)}, "rates must be finite"),
+            ({"rates": (1.0, float("inf"))}, "rates must be finite"),
+            ({"k_msg": 5, "variants": ("uniform",)}, "degree 8 exceeds k_msg 5"),
+            ({"k_msg": 5, "precode_rate": 0.5, "degree": 14, "assignment": "with-replacement",
+              "variants": ("min-degree+precode",)}, "degree 14 exceeds the outer code's 10 bits"),
+        ],
+        ids=["snr-nan", "snr-inf", "rate-nan", "rate-inf", "degree-above-k-msg", "degree-above-outer-code"],
+    )
+    def test_refused_before_any_frame(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**bad)
+
+    def test_precoded_degree_may_exceed_k_msg(self):
+        # the fountain rows of a precoded variant span the outer code's n = 10 bits
+        cfg = ExperimentConfig(k_msg=5, precode_rate=0.5, variants=("min-degree+precode",))
+        assert cfg.degree == 8 > cfg.k_msg
+
     def test_resolve_weight_set(self):
         ws = resolve_weight_set("1/2,1/4")
         assert ws.values == (0.5, 0.25)
@@ -284,10 +307,25 @@ class TestCli:
             (["analyze", "unique-solution", "--weights", "1,2", "--l-max", "5"], "need l_max weights"),
             (["analyze", "unique-solution", "--weights", "x"], "Invalid literal for Fraction"),
             (["analyze", "pairwise", "--flips", "99"], "flip index out of range"),
+            (["weights", "check", "--values", "1/0"], "zero denominator"),
+            (["analyze", "unique-solution", "--weights", "1/0"], "zero denominator"),
+            (["ber-sweep", "--weight-set", "1/0", "--rates", "1.0"], "zero denominator"),
+            (["ber-sweep", "--trials", "1"], "ber sweep needs a rate grid"),
+            (["ber-sweep", "--rates", "1.0", "--snr-db", "5,15"], "ber sweep runs at a single SNR"),
+            (["ber-sweep", "--k-msg", "5", "--rates", "1.0", "--trials", "1"], "degree 8 exceeds k_msg 5"),
+            (["ber-sweep", "--rates", "1.0", "--snr-db", "nan"], "snr_db entries must be finite"),
+            (["analyze", "pairwise", "--snr-db", "nan"], "sigma must be finite and positive"),
+            (["analyze", "pairwise", "--mc-draws", "-5"], "mc_draws must be >= 0"),
+            (["ber-sweep", "--trials", "3.5"], "trials: invalid literal"),
+            (["ber-sweep", "--rates", "1.0,nan"], "rates must be finite and > 0"),
+            (["analyze", "unique-solution", "--weights", "1,2", "--l-max", "0"], "l_max must be >= 2"),
         ],
         ids=["ber-sweep", "weights-check", "outer-code", "throughput-sweep", "shaping-delta", "shaping-nan",
              "weights-search", "unique-solution-l-max-1", "unique-solution-l-max-5", "unique-solution-weights",
-             "pairwise-flips"],
+             "pairwise-flips", "weights-check-zero-denominator", "unique-solution-zero-denominator",
+             "ber-sweep-zero-denominator", "ber-sweep-no-rates", "ber-sweep-two-snrs", "ber-sweep-k-msg-5",
+             "ber-sweep-snr-nan", "pairwise-snr-nan", "pairwise-mc-draws", "ber-sweep-trials-not-int",
+             "ber-sweep-rate-nan", "unique-solution-l-max-0"],
     )
     def test_refused_configuration_is_a_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -295,6 +333,32 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, runner, result",
+        [("ber-sweep", "run_ber_sweep", []), ("throughput-sweep", "run_throughput_sweep", SweepResult("throughput"))],
+    )
+    def test_every_config_key_is_a_sweep_flag(self, command, runner, result, monkeypatch):
+        # one non-default value per config key, as flag text; bools are bare flags
+        flags = {
+            "k_msg": "500", "precode_rate": "0.9", "degree": "4", "weight_set": "1/2,1/3,1/5,1/7",
+            "assignment": "without-replacement", "variants": "uniform,min-degree", "snr_db": "5,15",
+            "rates": "1.0,2.0", "target_ber": "0.001", "trials": "7", "seed": "3", "out": "x.csv",
+            "noiseless": None, "per_complex_noise": None, "gnuplot": None, "max_iters": "20",
+            "damping": "0.25", "ldpc_var_degree": "4", "min_error_events": "12", "max_trial_factor": "3",
+            "n_budget_factor": "6",
+        }
+        assert set(flags) == {f.name for f in fields(ExperimentConfig)}
+        seen = []
+        monkeypatch.setattr(cli, runner, lambda cfg: seen.append(cfg) or result)
+        argv = [command]
+        for key, text in flags.items():
+            argv += ["--" + key.replace("_", "-")] + ([] if text is None else [text])
+        assert cli_main(argv) == 0
+        expected = config_from_mapping({key: "true" if text is None else text for key, text in flags.items()})
+        assert seen == [expected]
+        default = ExperimentConfig()
+        assert [key for key in flags if getattr(expected, key) == getattr(default, key)] == []
 
     def test_throughput_sweep_refuses_outer_code_as_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
