@@ -586,10 +586,13 @@ def search_weight_set(
     The zero-sum condition is checked under the encoder's draw policy
     (distinct members per row); the Gaussian fit under the i.i.d. model the
     shaping analysis assumes. Deterministic for a fixed generator state.
-    Refuses, before any proposal, a degree the set cannot serve without
-    replacement and any parameter ``gaussian_fit_check`` refuses. Raises
-    WeightSearchError once the proposal budget is exhausted.
+    Refuses, before any proposal, a budget below one proposal, a degree the
+    set cannot serve without replacement and any parameter
+    ``gaussian_fit_check`` refuses. Raises WeightSearchError once the
+    proposal budget is exhausted.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1 proposal, got {budget}")
     WeightAssignment.WITHOUT_REPLACEMENT.check_degrees([d], f)  # also refuses f < 1
     _check_shaping_parameters(delta, eps, n_samples, _Q_FLOOR)
     for attempt in range(budget):

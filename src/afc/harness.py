@@ -10,7 +10,10 @@ a sweep never disturbs completed points.
 from __future__ import annotations
 
 import math
+import os
 import typing
+from collections import deque
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
@@ -104,6 +107,16 @@ class ExperimentConfig:
                 raise ValueError(f"unknown variant {v!r}")
         if not all(math.isfinite(s) for s in self.snr_db):
             raise ValueError("snr_db entries must be finite")
+        for s in self.snr_db:
+            try:
+                cap = capacity_bits(s, self.per_complex_noise)
+                sigma2 = ChannelParams(s, per_complex_noise=self.per_complex_noise).sigma2
+            except OverflowError:
+                cap = sigma2 = math.inf
+            if not (math.isfinite(cap) and 0.0 < sigma2 < math.inf):
+                raise ValueError(
+                    f"snr_db {s} is out of range: its capacity and noise variance must be finite, the variance > 0"
+                )
         if not 0.0 < self.target_ber < 1.0:
             raise ValueError("target_ber must lie in (0, 1)")
         assignment = WeightAssignment(self.assignment)  # ValueError for an unknown name
@@ -245,6 +258,130 @@ def _run_frame(
     return errors, result.iterations
 
 
+# what a frame calls by this module's names; a caller that rebinds one (to
+# trace or count the calls, say) sees only the calls made in its own process
+_FRAME_CALLS = {
+    name: globals()[name]
+    for name in ("build_graph", "encode", "transmit", "bp_decode", "bp_decode_joint", "ldpc_encode", "ldpc_decode")
+}
+
+# set only in pool workers, by the pool initializer: the config and variant
+# setups they inherit from their sweep at fork
+_worker_sweep: tuple[ExperimentConfig, list[_VariantSetup]] | None = None
+
+
+def _adopt_sweep(cfg: ExperimentConfig, setups: list[_VariantSetup], sweep_pid: int) -> None:
+    """Pool initializer: take the sweep's config and setups, let go of its
+    stdout, and exit once the sweep process is gone. A killed sweep would
+    otherwise leave its workers blocked on the task queue for good, holding
+    the pipe a reader of the sweep's output waits on."""
+    import threading
+    import time
+
+    global _worker_sweep
+    _worker_sweep = (cfg, setups)
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, 1)
+    os.close(devnull)
+
+    def exit_with_sweep() -> None:
+        while os.getppid() == sweep_pid:
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=exit_with_sweep, daemon=True).start()
+
+
+def _pool_frame(setup_index: int, n_symbols: int, snr_db: float, point_tag: int, trial: int) -> tuple[int, int]:
+    cfg, setups = _worker_sweep
+    return _run_frame(cfg, setups[setup_index], n_symbols, snr_db, point_tag, trial)
+
+
+class _FramePool:
+    """Worker processes forked from the sweep, holding its config and setups.
+
+    A task names its frame by setup index, N, SNR, point tag and trial, so
+    neither the config nor an outer code is pickled per frame. With ``fork``
+    the executor forks every worker at its first submit, before it starts
+    any thread of its own.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, setups: list[_VariantSetup], workers: int):
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        self.setups = setups
+        self.window = 2 * workers
+        self.executor = ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_adopt_sweep,
+            initargs=(cfg, setups, os.getpid()),
+        )
+
+    def frames(self, setup: _VariantSetup, n_symbols: int, snr_db: float, point_tag: int, max_trials: int):
+        """(errors, iterations) of trials 0, 1, 2, ... in order, with up to
+        ``window`` frames submitted ahead; closing it cancels the rest."""
+        index = self.setups.index(setup)
+        pending: deque = deque()
+        submitted = 0
+        try:
+            while pending or submitted < max_trials:
+                while submitted < max_trials and len(pending) < self.window:
+                    pending.append(self.executor.submit(_pool_frame, index, n_symbols, snr_db, point_tag, submitted))
+                    submitted += 1
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
+
+
+# the thread settings the installed BLAS (OpenBLAS) honours, in its order
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _default_workers() -> int:
+    """Frame workers for a sweep: the CPUs this process may run on divided
+    by its BLAS thread setting, at least 1. Unpinned BLAS already spreads a
+    frame over every core, so without a setting sweeps run serially."""
+    for var in _BLAS_THREAD_VARS:
+        value = os.environ.get(var, "").strip()
+        if value:
+            threads = int(value) if value.isdigit() else 0
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+            return max(1, cpus // threads) if threads else 1
+    return 1
+
+
+def _fork_available() -> bool:
+    import multiprocessing
+
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+@contextmanager
+def _frame_pool(cfg: ExperimentConfig, setups: list[_VariantSetup], max_trials: int):
+    """A frame pool for one sweep, or None when the sweep runs its frames in
+    its own process: one worker, no point of more than one frame, no fork,
+    or a frame call the caller has rebound."""
+    workers = min(_default_workers(), max_trials)
+    rebound = any(globals()[name] is not fn for name, fn in _FRAME_CALLS.items())
+    if workers < 2 or rebound or not _fork_available():
+        yield None
+        return
+    pool = _FramePool(cfg, setups, workers)
+    try:
+        yield pool
+    finally:
+        pool.executor.shutdown(wait=True, cancel_futures=True)
+
+
+def _point_frame_cap(cfg: ExperimentConfig) -> int:
+    """The most frames a point without ``abort_ber`` runs: cfg.trials, then
+    up to max_trial_factor x (a factor below 1 adds none)."""
+    return cfg.trials * max(1, cfg.max_trial_factor)
+
+
 def _measure_point(
     cfg: ExperimentConfig,
     setup: _VariantSetup,
@@ -252,6 +389,7 @@ def _measure_point(
     snr_db: float,
     point_tag: int,
     abort_ber: float | None = None,
+    pool: _FramePool | None = None,
 ) -> SweepPoint:
     """Monte Carlo BER at one (variant, N, SNR) point with adaptive trials.
 
@@ -260,30 +398,37 @@ def _measure_point(
     are flagged low-confidence. A bisection probe passes ``abort_ber``: it
     runs at most cfg.trials frames and stops early once the error count
     already forces the estimate above it, discarding hopeless points quickly.
+    With a ``pool`` the frames run on its workers, but the loop reads their
+    results in trial order, so it stops after the same trials as serially.
     """
     bit_errors = 0
     frame_errors = 0
     iters_total = 0
     trials_run = 0
-    max_trials = cfg.trials if abort_ber is not None else cfg.trials * cfg.max_trial_factor
-    while True:
-        errors, iters = _run_frame(cfg, setup, n_symbols, snr_db, point_tag, trials_run)
-        trials_run += 1
-        bit_errors += errors
-        frame_errors += int(errors > 0)
-        iters_total += iters
-        if abort_ber is not None and trials_run >= 8:
-            # even error-free remaining trials cannot pull the estimate back
-            floor_est = bit_errors / (cfg.trials * setup.k_msg)
-            if floor_est > 4.0 * abort_ber:
+    max_trials = cfg.trials if abort_ber is not None else _point_frame_cap(cfg)
+    if pool is None or max_trials == 1:
+        source = (_run_frame(cfg, setup, n_symbols, snr_db, point_tag, trial) for trial in range(max_trials))
+    else:
+        source = pool.frames(setup, n_symbols, snr_db, point_tag, max_trials)
+    with closing(source) as frames:
+        while True:
+            errors, iters = next(frames)
+            trials_run += 1
+            bit_errors += errors
+            frame_errors += int(errors > 0)
+            iters_total += iters
+            if abort_ber is not None and trials_run >= 8:
+                # even error-free remaining trials cannot pull the estimate back
+                floor_est = bit_errors / (cfg.trials * setup.k_msg)
+                if floor_est > 4.0 * abort_ber:
+                    break
+            if trials_run < cfg.trials:
+                continue
+            ber_so_far = bit_errors / (trials_run * setup.k_msg)
+            if bit_errors >= cfg.min_error_events or ber_so_far > 1e-3:
                 break
-        if trials_run < cfg.trials:
-            continue
-        ber_so_far = bit_errors / (trials_run * setup.k_msg)
-        if bit_errors >= cfg.min_error_events or ber_so_far > 1e-3:
-            break
-        if trials_run >= max_trials:
-            break
+            if trials_run >= max_trials:
+                break
     bits_seen = trials_run * setup.k_msg
     ber = bit_errors / bits_seen
     return SweepPoint(
@@ -306,22 +451,25 @@ def run_ber_sweep(cfg: ExperimentConfig) -> list[SweepResult]:
 
     The rate grid is in delivered message bits per complex channel use; each
     point transmits N = 2 * ceil(k_msg / rate) real symbols. Writes one CSV
-    per variant when cfg.out is set.
+    per variant when cfg.out is set. Frames run on as many worker processes
+    as the CPUs over the BLAS thread setting allow; results and CSV bytes do
+    not depend on that number.
     """
     if cfg.rates is None:
         raise ValueError("ber sweep needs a rate grid")
     if len(cfg.snr_db) != 1:
         raise ValueError("ber sweep runs at a single SNR")
     snr_db = cfg.snr_db[0]
+    setups = [_VariantSetup(cfg, variant) for variant in cfg.variants]
     results = []
-    for vi, variant in enumerate(cfg.variants):
-        setup = _VariantSetup(cfg, variant)
-        res = SweepResult(variant=variant)
-        for pi, rate in enumerate(cfg.rates):
-            n_symbols = 2 * math.ceil(setup.k_msg / rate)
-            point_tag = vi * 10000 + pi
-            res.points.append(_measure_point(cfg, setup, n_symbols, snr_db, point_tag))
-        results.append(res)
+    with _frame_pool(cfg, setups, _point_frame_cap(cfg)) as pool:
+        for vi, setup in enumerate(setups):
+            res = SweepResult(variant=setup.variant)
+            for pi, rate in enumerate(cfg.rates):
+                n_symbols = 2 * math.ceil(setup.k_msg / rate)
+                point_tag = vi * 10000 + pi
+                res.points.append(_measure_point(cfg, setup, n_symbols, snr_db, point_tag, pool=pool))
+            results.append(res)
     if cfg.out:
         for res in results:
             emit_csv(res, _variant_path(cfg.out, res.variant), gnuplot=cfg.gnuplot)
@@ -335,55 +483,74 @@ def run_throughput_sweep(cfg: ExperimentConfig, target_ber: float | None = None)
     bisection brackets [N_feasible, N_infeasible) and narrows to 2% of N;
     the capacity-implied N is taken as the infeasible end (channel coding
     converse). Points that stay above target within the N budget are
-    flagged unreached.
+    flagged unreached. Frames run on workers as in ``run_ber_sweep``.
     """
     target = cfg.target_ber if target_ber is None else target_ber
     if not 0.0 < target < 1.0:
         raise ValueError("target BER must lie in (0, 1)")
+    for snr_db in cfg.snr_db:
+        # the bisection starts from k_msg / capacity
+        if capacity_bits(snr_db, cfg.per_complex_noise) == 0.0:
+            raise ValueError(f"snr_db {snr_db} has zero capacity: a throughput sweep needs capacity > 0")
     check_outer_code(cfg)
     setup = _VariantSetup(cfg, "min-degree+precode")
     res = SweepResult(variant="throughput")
-    for si, snr_db in enumerate(cfg.snr_db):
-        cap_true = capacity_bits(snr_db, cfg.per_complex_noise)
-        point_tag = 0x7A0000 + si
-        n_cap = 2 * math.ceil(setup.k_msg / cap_true)
-        n_budget = cfg.n_budget_factor * setup.k_msg
-
-        n_hi = 2 * math.ceil(setup.k_msg / (0.55 * cap_true))
-        feasible: SweepPoint | None = None
-        while n_hi <= n_budget:
-            pt = _measure_point(cfg, setup, n_hi, snr_db, point_tag, abort_ber=target)
-            if pt.ber <= target:
-                feasible = pt
-                break
-            n_hi = int(n_hi * 1.4)
-        if feasible is None:
-            pt = _measure_point(cfg, setup, n_budget, snr_db, point_tag)
-            pt.reached = pt.ber <= target
-            res.points.append(pt)
-            continue
-
-        n_lo = n_cap  # infeasible by the channel coding converse
-        n_hi = feasible.n_symbols
-        while n_hi - n_lo > max(2, int(0.02 * n_hi)):
-            mid = (n_lo + n_hi) // 2
-            pt = _measure_point(cfg, setup, mid, snr_db, point_tag, abort_ber=target)
-            if pt.ber <= target:
-                n_hi, feasible = mid, pt
-            else:
-                n_lo = mid
-        # the reported point carries the full error-event confidence budget;
-        # if the better-sampled estimate lands above target, back off in 2%
-        # steps until it clears
-        final = _measure_point(cfg, setup, n_hi, snr_db, point_tag)
-        while final.ber > target and final.n_symbols < n_budget:
-            bigger = min(n_budget, final.n_symbols + max(2, int(0.02 * final.n_symbols)))
-            final = _measure_point(cfg, setup, bigger, snr_db, point_tag)
-        final.reached = final.ber <= target
-        res.points.append(final)
+    with _frame_pool(cfg, [setup], _point_frame_cap(cfg)) as pool:
+        for si, snr_db in enumerate(cfg.snr_db):
+            res.points.append(_max_rate_point(cfg, setup, snr_db, 0x7A0000 + si, target, pool))
     if cfg.out:
         emit_csv(res, cfg.out, gnuplot=cfg.gnuplot)
     return res
+
+
+def _max_rate_point(
+    cfg: ExperimentConfig,
+    setup: _VariantSetup,
+    snr_db: float,
+    point_tag: int,
+    target: float,
+    pool: _FramePool | None,
+) -> SweepPoint:
+    """The throughput sweep's reported point at one SNR."""
+
+    def measure(n_symbols: int, abort_ber: float | None = None) -> SweepPoint:
+        return _measure_point(cfg, setup, n_symbols, snr_db, point_tag, abort_ber, pool)
+
+    cap_true = capacity_bits(snr_db, cfg.per_complex_noise)
+    n_cap = 2 * math.ceil(setup.k_msg / cap_true)
+    n_budget = cfg.n_budget_factor * setup.k_msg
+
+    n_hi = 2 * math.ceil(setup.k_msg / (0.55 * cap_true))
+    feasible: SweepPoint | None = None
+    while n_hi <= n_budget:
+        pt = measure(n_hi, abort_ber=target)
+        if pt.ber <= target:
+            feasible = pt
+            break
+        n_hi = int(n_hi * 1.4)
+    if feasible is None:
+        pt = measure(n_budget)
+        pt.reached = pt.ber <= target
+        return pt
+
+    n_lo = n_cap  # infeasible by the channel coding converse
+    n_hi = feasible.n_symbols
+    while n_hi - n_lo > max(2, int(0.02 * n_hi)):
+        mid = (n_lo + n_hi) // 2
+        pt = measure(mid, abort_ber=target)
+        if pt.ber <= target:
+            n_hi, feasible = mid, pt
+        else:
+            n_lo = mid
+    # the reported point carries the full error-event confidence budget;
+    # if the better-sampled estimate lands above target, back off in 2%
+    # steps until it clears
+    final = measure(n_hi)
+    while final.ber > target and final.n_symbols < n_budget:
+        bigger = min(n_budget, final.n_symbols + max(2, int(0.02 * final.n_symbols)))
+        final = measure(bigger)
+    final.reached = final.ber <= target
+    return final
 
 
 def _variant_path(out: str, variant: str) -> str:

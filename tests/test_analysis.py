@@ -747,3 +747,11 @@ class TestSearch:
         with pytest.raises(ValueError, match=message):
             search_weight_set(f, d, delta, 1e-4, CandidateFamily.RANDOM_RATIONAL, rng, n_samples=1000)
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("budget", [0, -3])
+    def test_budget_below_one_refused_before_any_proposal(self, budget):
+        rng = substream(52, 1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"budget must be >= 1 proposal, got {budget}"):
+            search_weight_set(4, 4, 0.2, 1e-4, CandidateFamily.RANDOM_RATIONAL, rng, budget=budget, n_samples=1000)
+        assert rng.bit_generator.state == state

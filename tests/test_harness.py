@@ -1,10 +1,18 @@
 import hashlib
-from dataclasses import fields
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from afc import cli
+from afc import cli, harness
 from afc.cli import main as cli_main
 from afc.harness import (
     CSV_COLUMNS,
@@ -126,10 +134,216 @@ class TestThroughputSweep:
 
         assert pt.rate_bits_per_cu < capacity_bits(15.0)
 
+    def test_zero_capacity_refused_before_any_frame(self, monkeypatch):
+        def no_frame(*args):
+            raise AssertionError("a frame ran")
+
+        monkeypatch.setattr(harness, "_run_frame", no_frame)
+        with pytest.raises(ValueError, match="snr_db -400.0 has zero capacity"):
+            run_throughput_sweep(tiny_cfg(rates=None, snr_db=(15.0, -400.0)))
+
     def test_outer_code_checked_whatever_the_variants(self):
         cfg = ExperimentConfig(k_msg=100, precode_rate=0.999, variants=("uniform",))
         with pytest.raises(ValueError, match="outer code's 0 checks"):
             run_throughput_sweep(cfg)
+
+
+class TestParallelFrames:
+    """Frames on a process pool are read back in trial order, so a sweep
+    stops after the same trials and writes the same bytes at any worker count."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The frame pools the test's sweeps open."""
+        opened = []
+        pool_type = harness._FramePool
+
+        def spy(*args):
+            opened.append(pool_type(*args))
+            return opened[-1]
+
+        monkeypatch.setattr(harness, "_FramePool", spy)
+        return opened
+
+    @staticmethod
+    def use_workers(monkeypatch, workers):
+        monkeypatch.setattr(harness, "_default_workers", lambda: workers)
+
+    def test_ber_sweep_bytes_do_not_depend_on_workers(self, tmp_path, monkeypatch, pools):
+        # C9's config; max_trial_factor 10 lets quiet points run past 20 trials
+        cfg = ExperimentConfig(
+            k_msg=200, snr_db=(15.0,), rates=(2.0, 3.0), trials=20, seed=99,
+            variants=("min-degree", "min-degree+precode"), max_trial_factor=10,
+        )
+        results = {}
+        for workers in (1, 2):
+            self.use_workers(monkeypatch, workers)
+            out = tmp_path / f"w{workers}.csv"
+            results[workers] = run_ber_sweep(replace(cfg, out=str(out)))
+        assert len(pools) == 1
+        assert any(pt.trials > cfg.trials for res in results[1] for pt in res.points)
+        for name in ("min-degree", "min-degree-precode"):
+            assert (tmp_path / f"w1_{name}.csv").read_bytes() == (tmp_path / f"w2_{name}.csv").read_bytes()
+        assert [[vars(pt) for pt in res.points] for res in results[1]] == [
+            [vars(pt) for pt in res.points] for res in results[2]
+        ]
+
+    def test_throughput_sweep_bytes_do_not_depend_on_workers(self, tmp_path, monkeypatch, pools):
+        measure = harness._measure_point
+        probes = []
+
+        def spy(cfg, setup, n_symbols, snr_db, point_tag, abort_ber=None, pool=None):
+            pt = measure(cfg, setup, n_symbols, snr_db, point_tag, abort_ber, pool)
+            probes.append((abort_ber is not None, n_symbols, pt.trials, pt.bit_errors))
+            return pt
+
+        monkeypatch.setattr(harness, "_measure_point", spy)
+        cfg = ExperimentConfig(k_msg=95, snr_db=(10.0, 15.0), trials=20, seed=5, max_trial_factor=2)
+        seen = {}
+        for workers in (1, 2):
+            self.use_workers(monkeypatch, workers)
+            probes.clear()
+            res = run_throughput_sweep(cfg, target_ber=1e-3)
+            emit_csv(res, tmp_path / f"w{workers}.csv")
+            seen[workers] = list(probes)
+        assert len(pools) == 1
+        # some bisection probe stopped on abort_ber before its 20 trials
+        assert any(is_probe and 8 <= trials < cfg.trials for is_probe, _, trials, _ in seen[1])
+        assert seen[1] == seen[2]
+        assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_trial_factor_below_one_runs_the_base_trials(self, workers, monkeypatch):
+        self.use_workers(monkeypatch, workers)
+        (res,) = run_ber_sweep(tiny_cfg(trials=4, max_trial_factor=0))
+        assert [pt.trials for pt in res.points] == [4, 4]
+
+    def test_more_workers_than_cores_keep_trial_order(self, monkeypatch, pools):
+        # frames finish out of order on an oversubscribed pool; points must not see it
+        cfg = tiny_cfg(rates=(2.0, 3.0), trials=6, max_trial_factor=4, min_error_events=10)
+        self.use_workers(monkeypatch, 1)
+        serial = run_ber_sweep(cfg)
+        self.use_workers(monkeypatch, 5)
+        pooled = run_ber_sweep(cfg)
+        assert [pool.window for pool in pools] == [10]
+        assert [vars(pt) for pt in serial[0].points] == [vars(pt) for pt in pooled[0].points]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_frame_error_surfaces_and_leaves_no_worker(self, workers, monkeypatch):
+        run_frame = harness._run_frame
+
+        def failing(cfg, setup, n_symbols, snr_db, point_tag, trial):
+            if trial == 5:
+                raise RuntimeError(f"frame {trial} failed")
+            return run_frame(cfg, setup, n_symbols, snr_db, point_tag, trial)
+
+        monkeypatch.setattr(harness, "_run_frame", failing)
+        self.use_workers(monkeypatch, workers)
+        with pytest.raises(RuntimeError, match="frame 5 failed"):
+            run_ber_sweep(tiny_cfg(trials=10))
+        assert multiprocessing.active_children() == []
+
+    def test_single_frame_points_open_no_pool(self, monkeypatch, pools):
+        self.use_workers(monkeypatch, 2)
+        (res,) = run_ber_sweep(tiny_cfg(trials=1, max_trial_factor=1))
+        assert [pt.trials for pt in res.points] == [1, 1]
+        assert pools == []
+
+    def test_rebound_frame_call_keeps_frames_in_the_sweep_process(self, monkeypatch, pools):
+        # a caller tracing or counting a layer call must see every frame's call
+        calls = []
+        decode = harness.bp_decode
+
+        def counted(*args):
+            calls.append(args[0].m)
+            return decode(*args)
+
+        monkeypatch.setattr(harness, "bp_decode", counted)
+        self.use_workers(monkeypatch, 2)
+        (res,) = run_ber_sweep(tiny_cfg(trials=4))
+        assert pools == []
+        assert len(calls) == sum(pt.trials for pt in res.points)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads process states from /proc")
+    def test_killed_sweep_takes_its_workers_along(self, tmp_path):
+        """Workers write nothing to their sweep's stdout, and when the sweep
+        is SIGKILLed they exit instead of blocking on the task queue for good."""
+        script = tmp_path / "stuck_sweep.py"
+        script.write_text(textwrap.dedent(f"""
+            import os, time
+            from afc import harness
+
+            def stuck(*args):
+                print("from a worker", flush=True)
+                open(os.path.join({str(tmp_path)!r}, f"{{os.getpid()}}.pid"), "w").close()
+                time.sleep(600)
+
+            harness._run_frame = stuck
+            harness._default_workers = lambda: 2
+            print("sweeping", flush=True)
+            harness.run_ber_sweep(harness.ExperimentConfig(k_msg=100, rates=(1.0,), trials=4, variants=("uniform",)))
+        """))
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen([sys.executable, str(script)], stdout=subprocess.PIPE, env=env)
+        pids = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(pids) < 2 and time.monotonic() < deadline and proc.poll() is None:
+                time.sleep(0.05)
+                pids = [int(p.stem) for p in tmp_path.glob("*.pid")]
+            assert len(pids) == 2, "the workers never started their frames"
+            proc.kill()
+            proc.wait()
+            out = []
+            reader = threading.Thread(target=lambda: out.append(proc.stdout.read()))
+            reader.start()
+            reader.join(timeout=10)
+            assert not reader.is_alive(), "a worker still holds the sweep's stdout"
+            assert out == [b"sweeping\n"]
+            deadline = time.monotonic() + 10
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, pids)), "a worker outlived its sweep"
+        finally:
+            proc.kill()
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            proc.stdout.close()
+
+    @pytest.mark.parametrize(
+        "env, cpus, workers",
+        [
+            ({}, 2, 1),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 2, 2),
+            ({"OPENBLAS_NUM_THREADS": "2"}, 2, 1),
+            ({"OPENBLAS_NUM_THREADS": "2"}, 8, 4),
+            ({"OPENBLAS_NUM_THREADS": "3"}, 2, 1),
+            ({"OMP_NUM_THREADS": "1"}, 4, 4),
+            ({"MKL_NUM_THREADS": "1"}, 4, 1),
+            ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 4, 1),
+            ({"OPENBLAS_NUM_THREADS": "0"}, 4, 1),
+            ({"OPENBLAS_NUM_THREADS": "many"}, 4, 1),
+        ],
+    )
+    def test_worker_count_rule(self, env, cpus, workers, monkeypatch):
+        # OpenBLAS reads OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS; MKL's setting does not pin it
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert harness._default_workers() == workers
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class TestConfig:
@@ -248,12 +462,22 @@ class TestConfig:
             ({"k_msg": 5, "variants": ("uniform",)}, "degree 8 exceeds k_msg 5"),
             ({"k_msg": 5, "precode_rate": 0.5, "degree": 14, "assignment": "with-replacement",
               "variants": ("min-degree+precode",)}, "degree 14 exceeds the outer code's 10 bits"),
+            ({"snr_db": (15.0, 3100.0)}, "snr_db 3100.0 is out of range"),
+            ({"snr_db": (3081.0,), "per_complex_noise": True}, "snr_db 3081.0 is out of range"),
+            ({"snr_db": (1e308,)}, r"snr_db 1e\+308 is out of range"),
+            ({"snr_db": (-3100.0,)}, "snr_db -3100.0 is out of range"),
         ],
-        ids=["snr-nan", "snr-inf", "rate-nan", "rate-inf", "degree-above-k-msg", "degree-above-outer-code"],
+        ids=["snr-nan", "snr-inf", "rate-nan", "rate-inf", "degree-above-k-msg", "degree-above-outer-code",
+             "snr-capacity-overflow", "snr-capacity-inf-per-complex", "snr-noise-underflow", "snr-noise-overflow"],
     )
     def test_refused_before_any_frame(self, bad, message):
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**bad)
+
+    def test_ber_sweep_runs_where_capacity_is_zero(self):
+        # 1 + 10**(-40) rounds to 1; a BER sweep never divides by capacity
+        (res,) = run_ber_sweep(tiny_cfg(snr_db=(-400.0,), rates=(1.0,), trials=1, max_trial_factor=1))
+        assert 0.0 < res.points[0].ber < 1.0
 
     def test_precoded_degree_may_exceed_k_msg(self):
         # the fountain rows of a precoded variant span the outer code's n = 10 bits
@@ -319,13 +543,18 @@ class TestCli:
             (["ber-sweep", "--trials", "3.5"], "trials: invalid literal"),
             (["ber-sweep", "--rates", "1.0,nan"], "rates must be finite and > 0"),
             (["analyze", "unique-solution", "--weights", "1,2", "--l-max", "0"], "l_max must be >= 2"),
+            (["throughput-sweep", "--k-msg", "100", "--snr-db", "1e308", "--trials", "1"], "is out of range"),
+            (["ber-sweep", "--k-msg", "100", "--snr-db", "1e308", "--rates", "1.0", "--variants", "uniform"],
+             "is out of range"),
+            (["weights", "search", "--size", "8", "--degree", "8", "--budget", "-3"], "budget must be >= 1"),
         ],
         ids=["ber-sweep", "weights-check", "outer-code", "throughput-sweep", "shaping-delta", "shaping-nan",
              "weights-search", "unique-solution-l-max-1", "unique-solution-l-max-5", "unique-solution-weights",
              "pairwise-flips", "weights-check-zero-denominator", "unique-solution-zero-denominator",
              "ber-sweep-zero-denominator", "ber-sweep-no-rates", "ber-sweep-two-snrs", "ber-sweep-k-msg-5",
              "ber-sweep-snr-nan", "pairwise-snr-nan", "pairwise-mc-draws", "ber-sweep-trials-not-int",
-             "ber-sweep-rate-nan", "unique-solution-l-max-0"],
+             "ber-sweep-rate-nan", "unique-solution-l-max-0", "throughput-sweep-snr-overflow",
+             "ber-sweep-snr-overflow", "weights-search-negative-budget"],
     )
     def test_refused_configuration_is_a_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
