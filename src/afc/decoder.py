@@ -157,12 +157,17 @@ class _RowGroup:
         self.plus = (signs > 0).astype(np.float64)
         self.minus = (signs < 0).astype(np.float64)
         # -(u - sums)^2 / (2 sigma2), built in the product's buffer rather
-        # than through four (rows, 2^d) temporaries
+        # than through four (rows, 2^d) temporaries; a term that overflows
+        # is -inf, a configuration of likelihood 0
         resid = w @ self.signs_t
-        np.subtract(u_rows[:, None], resid, out=resid)
-        np.square(resid, out=resid)
-        resid /= -(2.0 * sigma2)
-        resid -= resid.max(axis=1, keepdims=True)
+        with np.errstate(over="ignore"):
+            np.subtract(u_rows[:, None], resid, out=resid)
+            np.square(resid, out=resid)
+            resid /= -(2.0 * sigma2)
+        top = resid.max(axis=1, keepdims=True)
+        if not np.all(np.isfinite(top)):
+            raise ValueError("an observation is too far from every row sum for sigma2: all its likelihoods are 0")
+        resid -= top
         self.resid = resid
         self.c_msg = np.zeros_like(w)
 

@@ -92,12 +92,12 @@ class ExperimentConfig:
     n_budget_factor: int = 8
 
     def __post_init__(self) -> None:
-        if self.k_msg < 1:
-            raise ValueError("k_msg must be >= 1")
+        for name, low in (("k_msg", 1), ("trials", 1), ("seed", 0), ("ldpc_var_degree", 1),
+                          ("min_error_events", 0), ("n_budget_factor", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         if not 0.0 < self.precode_rate < 1.0:
             raise ValueError("precode_rate must lie in (0, 1)")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         if self.rates is not None and any(b <= a for a, b in zip(self.rates, self.rates[1:])):
             raise ValueError("rate grid must be strictly increasing")
         if self.rates and not all(0.0 < r < math.inf for r in self.rates):
@@ -125,8 +125,6 @@ class ExperimentConfig:
         assignment.check_degrees([self.degree], resolve_weight_set(self.weight_set).f)
         if self.degree > self.k_msg and any(not v.endswith("+precode") for v in self.variants):
             raise ValueError(f"degree {self.degree} exceeds k_msg {self.k_msg}")
-        if self.ldpc_var_degree < 1:
-            raise ValueError("ldpc_var_degree must be >= 1")
         if "min-degree+precode" in self.variants:
             check_outer_code(self)
         DecoderConfig(max_iters=self.max_iters, damping=self.damping)  # ValueError out of bounds
@@ -297,45 +295,6 @@ def _pool_frame(setup_index: int, n_symbols: int, snr_db: float, point_tag: int,
     return _run_frame(cfg, setups[setup_index], n_symbols, snr_db, point_tag, trial)
 
 
-class _FramePool:
-    """Worker processes forked from the sweep, holding its config and setups.
-
-    A task names its frame by setup index, N, SNR, point tag and trial, so
-    neither the config nor an outer code is pickled per frame. With ``fork``
-    the executor forks every worker at its first submit, before it starts
-    any thread of its own.
-    """
-
-    def __init__(self, cfg: ExperimentConfig, setups: list[_VariantSetup], workers: int):
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        self.setups = setups
-        self.window = 2 * workers
-        self.executor = ProcessPoolExecutor(
-            workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_adopt_sweep,
-            initargs=(cfg, setups, os.getpid()),
-        )
-
-    def frames(self, setup: _VariantSetup, n_symbols: int, snr_db: float, point_tag: int, max_trials: int):
-        """(errors, iterations) of trials 0, 1, 2, ... in order, with up to
-        ``window`` frames submitted ahead; closing it cancels the rest."""
-        index = self.setups.index(setup)
-        pending: deque = deque()
-        submitted = 0
-        try:
-            while pending or submitted < max_trials:
-                while submitted < max_trials and len(pending) < self.window:
-                    pending.append(self.executor.submit(_pool_frame, index, n_symbols, snr_db, point_tag, submitted))
-                    submitted += 1
-                yield pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
-
-
 # the thread settings the installed BLAS (OpenBLAS) honours, in its order
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -353,33 +312,65 @@ def _default_workers() -> int:
     return 1
 
 
-def _fork_available() -> bool:
-    import multiprocessing
-
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-@contextmanager
-def _frame_pool(cfg: ExperimentConfig, setups: list[_VariantSetup], max_trials: int):
-    """A frame pool for one sweep, or None when the sweep runs its frames in
-    its own process: one worker, no point of more than one frame, no fork,
-    or a frame call the caller has rebound."""
-    workers = min(_default_workers(), max_trials)
-    rebound = any(globals()[name] is not fn for name, fn in _FRAME_CALLS.items())
-    if workers < 2 or rebound or not _fork_available():
-        yield None
-        return
-    pool = _FramePool(cfg, setups, workers)
-    try:
-        yield pool
-    finally:
-        pool.executor.shutdown(wait=True, cancel_futures=True)
-
-
 def _point_frame_cap(cfg: ExperimentConfig) -> int:
     """The most frames a point without ``abort_ber`` runs: cfg.trials, then
     up to max_trial_factor x (a factor below 1 adds none)."""
     return cfg.trials * max(1, cfg.max_trial_factor)
+
+
+@contextmanager
+def _frame_source(cfg: ExperimentConfig, setups: list[_VariantSetup]):
+    """The frames of one sweep: ``frames(setup, n_symbols, snr_db, point_tag,
+    max_trials)`` iterates the (errors, iterations) of trials 0, 1, 2, ...
+
+    They run in the sweep's own process when it has one worker, no point of
+    more than one frame, no fork, or a frame call the caller has rebound.
+    Otherwise forked workers, which inherit the config and setups, run them
+    up to 2 x workers ahead of the trial read; closing the iterator cancels
+    the rest. The executor forks every worker at its first submit, before it
+    starts any thread of its own.
+    """
+    workers = min(_default_workers(), _point_frame_cap(cfg))
+    serial = workers < 2 or any(globals()[name] is not fn for name, fn in _FRAME_CALLS.items())
+    if not serial:  # a serial sweep never imports multiprocessing
+        import multiprocessing
+
+        serial = "fork" not in multiprocessing.get_all_start_methods()
+    if serial:
+
+        def frames(setup, n_symbols, snr_db, point_tag, max_trials):
+            return (_run_frame(cfg, setup, n_symbols, snr_db, point_tag, trial) for trial in range(max_trials))
+
+        yield frames
+        return
+
+    from concurrent.futures import ProcessPoolExecutor
+
+    executor = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt_sweep,
+        initargs=(cfg, setups, os.getpid()),
+    )
+
+    def frames(setup, n_symbols, snr_db, point_tag, max_trials):
+        index = setups.index(setup)
+        pending: deque = deque()
+        submitted = 0
+        try:
+            while pending or submitted < max_trials:
+                while submitted < max_trials and len(pending) < 2 * workers:
+                    pending.append(executor.submit(_pool_frame, index, n_symbols, snr_db, point_tag, submitted))
+                    submitted += 1
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
+
+    try:
+        yield frames
+    finally:
+        executor.shutdown(wait=True, cancel_futures=True)
 
 
 def _measure_point(
@@ -388,8 +379,8 @@ def _measure_point(
     n_symbols: int,
     snr_db: float,
     point_tag: int,
+    frames: typing.Callable[..., typing.Iterator[tuple[int, int]]],
     abort_ber: float | None = None,
-    pool: _FramePool | None = None,
 ) -> SweepPoint:
     """Monte Carlo BER at one (variant, N, SNR) point with adaptive trials.
 
@@ -398,22 +389,15 @@ def _measure_point(
     are flagged low-confidence. A bisection probe passes ``abort_ber``: it
     runs at most cfg.trials frames and stops early once the error count
     already forces the estimate above it, discarding hopeless points quickly.
-    With a ``pool`` the frames run on its workers, but the loop reads their
-    results in trial order, so it stops after the same trials as serially.
+    The frames come from the sweep's ``_frame_source`` in trial order, so a
+    point stops after the same trials wherever they run.
     """
     bit_errors = 0
     frame_errors = 0
     iters_total = 0
-    trials_run = 0
     max_trials = cfg.trials if abort_ber is not None else _point_frame_cap(cfg)
-    if pool is None or max_trials == 1:
-        source = (_run_frame(cfg, setup, n_symbols, snr_db, point_tag, trial) for trial in range(max_trials))
-    else:
-        source = pool.frames(setup, n_symbols, snr_db, point_tag, max_trials)
-    with closing(source) as frames:
-        while True:
-            errors, iters = next(frames)
-            trials_run += 1
+    with closing(frames(setup, n_symbols, snr_db, point_tag, max_trials)) as results:
+        for trials_run, (errors, iters) in enumerate(results, 1):
             bit_errors += errors
             frame_errors += int(errors > 0)
             iters_total += iters
@@ -427,10 +411,7 @@ def _measure_point(
             ber_so_far = bit_errors / (trials_run * setup.k_msg)
             if bit_errors >= cfg.min_error_events or ber_so_far > 1e-3:
                 break
-            if trials_run >= max_trials:
-                break
-    bits_seen = trials_run * setup.k_msg
-    ber = bit_errors / bits_seen
+    ber = bit_errors / (trials_run * setup.k_msg)
     return SweepPoint(
         snr_db=snr_db,
         n_symbols=n_symbols,
@@ -462,13 +443,13 @@ def run_ber_sweep(cfg: ExperimentConfig) -> list[SweepResult]:
     snr_db = cfg.snr_db[0]
     setups = [_VariantSetup(cfg, variant) for variant in cfg.variants]
     results = []
-    with _frame_pool(cfg, setups, _point_frame_cap(cfg)) as pool:
+    with _frame_source(cfg, setups) as frames:
         for vi, setup in enumerate(setups):
             res = SweepResult(variant=setup.variant)
             for pi, rate in enumerate(cfg.rates):
                 n_symbols = 2 * math.ceil(setup.k_msg / rate)
                 point_tag = vi * 10000 + pi
-                res.points.append(_measure_point(cfg, setup, n_symbols, snr_db, point_tag, pool=pool))
+                res.points.append(_measure_point(cfg, setup, n_symbols, snr_db, point_tag, frames))
             results.append(res)
     if cfg.out:
         for res in results:
@@ -495,9 +476,9 @@ def run_throughput_sweep(cfg: ExperimentConfig, target_ber: float | None = None)
     check_outer_code(cfg)
     setup = _VariantSetup(cfg, "min-degree+precode")
     res = SweepResult(variant="throughput")
-    with _frame_pool(cfg, [setup], _point_frame_cap(cfg)) as pool:
+    with _frame_source(cfg, [setup]) as frames:
         for si, snr_db in enumerate(cfg.snr_db):
-            res.points.append(_max_rate_point(cfg, setup, snr_db, 0x7A0000 + si, target, pool))
+            res.points.append(_max_rate_point(cfg, setup, snr_db, 0x7A0000 + si, target, frames))
     if cfg.out:
         emit_csv(res, cfg.out, gnuplot=cfg.gnuplot)
     return res
@@ -509,12 +490,12 @@ def _max_rate_point(
     snr_db: float,
     point_tag: int,
     target: float,
-    pool: _FramePool | None,
+    frames: typing.Callable[..., typing.Iterator[tuple[int, int]]],
 ) -> SweepPoint:
     """The throughput sweep's reported point at one SNR."""
 
     def measure(n_symbols: int, abort_ber: float | None = None) -> SweepPoint:
-        return _measure_point(cfg, setup, n_symbols, snr_db, point_tag, abort_ber, pool)
+        return _measure_point(cfg, setup, n_symbols, snr_db, point_tag, frames, abort_ber)
 
     cap_true = capacity_bits(snr_db, cfg.per_complex_noise)
     n_cap = 2 * math.ceil(setup.k_msg / cap_true)

@@ -566,6 +566,14 @@ class TestEntryPointInputs:
         with pytest.raises(UnsupportedDegreeError):
             decode(g, np.zeros(1), 1.0)
 
+    def test_every_likelihood_of_a_row_underflows(self, decode):
+        # every configuration of every row lies ~100 / sqrt(1e-306) sigmas off:
+        # refused before any iteration rather than decoded into NaN LLRs
+        g = build_graph(100, 80, D8, RECIP, BAL, substream(0, 40))
+        u = encode(g, bits_to_bpsk(substream(0, 41).integers(0, 2, 100))) + 100.0
+        with pytest.raises(ValueError, match="all its likelihoods are 0"):
+            decode(g, u, 1e-306)
+
 
 @pytest.mark.parametrize(
     "u_i,sigma2,incoming",
@@ -575,6 +583,20 @@ class TestEntryPointInputs:
 def test_check_to_var_refuses_what_entry_points_refuse(u_i, sigma2, incoming):
     with pytest.raises(ValueError):
         check_to_var_messages(np.array([0.5, 1 / 3]), u_i, sigma2, np.array(incoming))
+
+
+def test_check_to_var_refuses_a_row_of_zero_likelihood():
+    # (1e160 - sum)^2 overflows for every configuration
+    with pytest.raises(ValueError, match="all its likelihoods are 0"):
+        check_to_var_messages(np.array(RECIP.values), 1e160, 1.0, np.zeros(8))
+
+
+def test_overflowing_terms_of_a_finite_row_are_zero_likelihoods():
+    # at sigma2 1e-308 the two configurations that flip the weight-10 bit
+    # overflow to -inf; the other two stay finite, and no warning is raised
+    g = _RowGroup(np.array([[0, 1]]), np.array([[10.0, 1 / 3]]), np.array([10.0 + 1 / 3]), 1e-308)
+    assert g.resid.max() == 0.0
+    assert np.isneginf(g.resid).sum() == 2 and np.isfinite(g.resid).sum() == 2
 
 
 class TestStopReason:

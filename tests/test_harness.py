@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import multiprocessing
 import os
@@ -7,6 +8,7 @@ import sys
 import textwrap
 import threading
 import time
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -154,15 +156,22 @@ class TestParallelFrames:
 
     @pytest.fixture
     def pools(self, monkeypatch):
-        """The frame pools the test's sweeps open."""
+        """The frame pools the test's sweeps open, each with its worker count
+        and the number of frames submitted to it."""
         opened = []
-        pool_type = harness._FramePool
 
-        def spy(*args):
-            opened.append(pool_type(*args))
-            return opened[-1]
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, workers, **kwargs):
+                super().__init__(workers, **kwargs)
+                self.workers = workers
+                self.submitted = 0
+                opened.append(self)
 
-        monkeypatch.setattr(harness, "_FramePool", spy)
+            def submit(self, *args, **kwargs):
+                self.submitted += 1
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         return opened
 
     @staticmethod
@@ -192,8 +201,8 @@ class TestParallelFrames:
         measure = harness._measure_point
         probes = []
 
-        def spy(cfg, setup, n_symbols, snr_db, point_tag, abort_ber=None, pool=None):
-            pt = measure(cfg, setup, n_symbols, snr_db, point_tag, abort_ber, pool)
+        def spy(cfg, setup, n_symbols, snr_db, point_tag, frames, abort_ber=None):
+            pt = measure(cfg, setup, n_symbols, snr_db, point_tag, frames, abort_ber)
             probes.append((abort_ber is not None, n_symbols, pt.trials, pt.bit_errors))
             return pt
 
@@ -225,8 +234,18 @@ class TestParallelFrames:
         serial = run_ber_sweep(cfg)
         self.use_workers(monkeypatch, 5)
         pooled = run_ber_sweep(cfg)
-        assert [pool.window for pool in pools] == [10]
+        assert [pool.workers for pool in pools] == [5]
         assert [vars(pt) for pt in serial[0].points] == [vars(pt) for pt in pooled[0].points]
+
+    def test_stopped_point_submits_at_most_two_frames_per_worker_ahead(self, monkeypatch, pools):
+        # far above capacity every frame fails, so the point stops at cfg.trials
+        # of its 10 x cfg.trials cap; the frames run ahead of it are bounded
+        cfg = tiny_cfg(snr_db=(0.0,), rates=(4.0,), trials=6, max_trial_factor=10, variants=("uniform",))
+        self.use_workers(monkeypatch, 2)
+        (res,) = run_ber_sweep(cfg)
+        assert [pt.trials for pt in res.points] == [cfg.trials]
+        (pool,) = pools
+        assert cfg.trials < pool.submitted <= cfg.trials + 2 * pool.workers
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_frame_error_surfaces_and_leaves_no_worker(self, workers, monkeypatch):
@@ -466,9 +485,13 @@ class TestConfig:
             ({"snr_db": (3081.0,), "per_complex_noise": True}, "snr_db 3081.0 is out of range"),
             ({"snr_db": (1e308,)}, r"snr_db 1e\+308 is out of range"),
             ({"snr_db": (-3100.0,)}, "snr_db -3100.0 is out of range"),
+            ({"seed": -1}, "seed must be >= 0"),
+            ({"n_budget_factor": 0, "k_msg": 2000, "snr_db": (5.0,)}, "n_budget_factor must be >= 1"),
+            ({"min_error_events": -5}, "min_error_events must be >= 0"),
         ],
         ids=["snr-nan", "snr-inf", "rate-nan", "rate-inf", "degree-above-k-msg", "degree-above-outer-code",
-             "snr-capacity-overflow", "snr-capacity-inf-per-complex", "snr-noise-underflow", "snr-noise-overflow"],
+             "snr-capacity-overflow", "snr-capacity-inf-per-complex", "snr-noise-underflow", "snr-noise-overflow",
+             "seed-negative", "n-budget-factor-0", "min-error-events-negative"],
     )
     def test_refused_before_any_frame(self, bad, message):
         with pytest.raises(ValueError, match=message):
@@ -478,6 +501,14 @@ class TestConfig:
         # 1 + 10**(-40) rounds to 1; a BER sweep never divides by capacity
         (res,) = run_ber_sweep(tiny_cfg(snr_db=(-400.0,), rates=(1.0,), trials=1, max_trial_factor=1))
         assert 0.0 < res.points[0].ber < 1.0
+
+    def test_ber_sweep_runs_without_warning_near_the_snr_ceiling(self):
+        # noise variance about 1e-308: the far configurations' likelihood terms overflow
+        cfg = tiny_cfg(snr_db=(3080.0,), rates=(1.0,), trials=2, max_trial_factor=1, variants=("uniform",))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (res,) = run_ber_sweep(cfg)
+        assert res.points[0].ber == 0.0
 
     def test_precoded_degree_may_exceed_k_msg(self):
         # the fountain rows of a precoded variant span the outer code's n = 10 bits
@@ -547,6 +578,8 @@ class TestCli:
             (["ber-sweep", "--k-msg", "100", "--snr-db", "1e308", "--rates", "1.0", "--variants", "uniform"],
              "is out of range"),
             (["weights", "search", "--size", "8", "--degree", "8", "--budget", "-3"], "budget must be >= 1"),
+            (["throughput-sweep", "--n-budget-factor", "0", "--k-msg", "2000", "--snr-db", "5"],
+             "n_budget_factor must be >= 1"),
         ],
         ids=["ber-sweep", "weights-check", "outer-code", "throughput-sweep", "shaping-delta", "shaping-nan",
              "weights-search", "unique-solution-l-max-1", "unique-solution-l-max-5", "unique-solution-weights",
@@ -554,7 +587,7 @@ class TestCli:
              "ber-sweep-zero-denominator", "ber-sweep-no-rates", "ber-sweep-two-snrs", "ber-sweep-k-msg-5",
              "ber-sweep-snr-nan", "pairwise-snr-nan", "pairwise-mc-draws", "ber-sweep-trials-not-int",
              "ber-sweep-rate-nan", "unique-solution-l-max-0", "throughput-sweep-snr-overflow",
-             "ber-sweep-snr-overflow", "weights-search-negative-budget"],
+             "ber-sweep-snr-overflow", "weights-search-negative-budget", "throughput-sweep-n-budget-factor-0"],
     )
     def test_refused_configuration_is_a_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
