@@ -14,12 +14,28 @@ One flooding loop serves three entry points, each handing it a list of check
 groups: ``bp_decode`` runs the fountain rows alone, ``bp_decode_joint`` runs
 them together with the parity checks of an outer LDPC code, and
 ``afc.precoder.ldpc_decode`` runs the parity checks alone.
+
+Each iteration's check update is a list of independent tasks (the tanh pass
+of the outer checks, then the fountain rows in blocks) that the decoding
+thread and a small per-process thread pool take in turn, followed by a
+serial finish per group; numpy's matmul and exp release the interpreter
+lock. A process decodes on as many threads as its affinity CPUs divided by
+the BLAS thread setting (``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``):
+with BLAS unpinned, BLAS already spreads its calls over the cores and a
+decode runs serially, starting no thread. The frame workers of a sweep each
+decode on one thread, since the sweep already fills the cores, and updates
+smaller than two blocks run serially everywhere. Every task makes the same
+BLAS calls on the same shapes wherever it runs, so results do not depend on
+the thread count.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+import typing
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -48,6 +64,14 @@ _ML_MAX_VARS = 20
 # (512 KB, 256 rows at degree 8) stays in a core's L2 cache across the five
 # passes over it, where a whole row group streams from memory on each pass.
 _BLOCK_CFGS = 1 << 16
+# a block's buffer: at most step + 1 rows of 2^d configurations
+_SCRATCH = _BLOCK_CFGS + (1 << MAX_ENUM_DEGREE)
+# Under the CPU rule, a check update of fewer fountain-row configurations
+# runs serially: waking a pool thread and sharing the interpreter lock then
+# cost more than the second core gives back. On 2 vCPUs, precoded k 200
+# updates of 0.8 and 1.6 blocks ran 4-50% slower on two threads, and updates
+# of 1.9-7.8 blocks at k 1000-4000 ran 12-33% faster.
+_THREADED_CFGS = 2 * _BLOCK_CFGS
 # The check update shifts each row's log terms by the row's largest Gaussian
 # term, fixed per frame, instead of by the largest term of each block. The
 # message part |H.s| is at most d*clip/2, so no term exceeds e^(d*clip/2) and
@@ -63,6 +87,121 @@ _BOUND_SHIFT_MAX = 600.0
 
 class UnsupportedDegreeError(ValueError):
     """Row degree exceeds the exact-enumeration bound."""
+
+
+# the thread settings the installed BLAS (OpenBLAS) honours, in its order
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _default_workers() -> int:
+    """Threads for a decode, and frame workers for a sweep: the CPUs this
+    process may run on divided by its BLAS thread setting, at least 1.
+    Unpinned BLAS already spreads each call over every core, so without a
+    setting decodes and sweeps run serially."""
+    for var in _BLAS_THREAD_VARS:
+        value = os.environ.get(var, "").strip()
+        if value:
+            threads = int(value) if value.isdigit() else 0
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+            return max(1, cpus // threads) if threads else 1
+    return 1
+
+
+class _Threads:
+    """This process's decode threads: a count (None: the ``_default_workers``
+    rule, read at each check update of at least ``_THREADED_CFGS``
+    configurations) and a pool of count - 1 threads, started by the first
+    update that has work for them."""
+
+    def __init__(self) -> None:
+        self.count: int | None = None
+        self.forget_pool()
+
+    def forget_pool(self) -> None:
+        self.pool = None
+        self.size = 0
+
+    def run(self, tasks: list, cfgs: int) -> None:
+        """Run every task of an update of ``cfgs`` configurations once. Pool
+        threads, and the caller, take the next task from the shared list
+        until it is empty; with one thread the caller runs them in order. The
+        caller returns once every task taken has finished; it does not wait
+        for a pool thread that found none."""
+        count = self.count or (_default_workers() if cfgs >= _THREADED_CFGS else 1)
+        helpers = min(count, len(tasks)) - 1
+        if helpers < 1:
+            for task in tasks:
+                task()
+            return
+        if self.size < helpers:
+            from concurrent.futures import ThreadPoolExecutor
+
+            self.shutdown()
+            self.pool = ThreadPoolExecutor(helpers, thread_name_prefix="afc-decode")
+            self.size = helpers
+        done = threading.Condition()
+        todo = iter(tasks)
+        running = 0
+        errors = []
+
+        def drain() -> None:
+            nonlocal todo, running
+            while True:
+                with done:
+                    task = next(todo, None)
+                    if task is None:
+                        return
+                    running += 1
+                try:
+                    task()
+                except BaseException as exc:  # raised again by the caller
+                    with done:
+                        errors.append(exc)
+                        todo = iter(())
+                finally:
+                    with done:
+                        running -= 1
+                        done.notify_all()
+
+        for _ in range(helpers):
+            self.pool.submit(drain)  # drain raises nothing: errors go to the caller
+        drain()
+        with done:
+            # the tasks write into arrays the caller reads next
+            done.wait_for(lambda: running == 0)
+        if errors:
+            raise errors[0]
+
+    def shutdown(self) -> None:
+        if self.pool is not None:
+            self.pool.shutdown(wait=True)
+        self.forget_pool()
+
+
+_THREADS = _Threads()
+if hasattr(os, "register_at_fork"):
+    # a forked child has only the forking thread: the pool it inherits would
+    # queue tasks that no thread runs, so the child starts a pool of its own
+    os.register_at_fork(after_in_child=_THREADS.forget_pool)
+
+
+def _use_threads(count: int | None) -> None:
+    """Decode on ``count`` threads in this process from now on (None: back to
+    the ``_default_workers`` rule). A sweep's frame workers decode on one."""
+    _THREADS.shutdown()
+    _THREADS.count = count
+
+
+_local = threading.local()
+
+
+def _scratch(rows: int, cols: int) -> np.ndarray:
+    """A (rows, cols) float64 buffer owned by the calling thread, reused by
+    each block it runs; rows * cols <= _SCRATCH."""
+    buf = getattr(_local, "buf", None)
+    if buf is None:
+        buf = _local.buf = np.empty(_SCRATCH)
+    return buf[: rows * cols].reshape(rows, cols)
 
 
 @dataclass(frozen=True)
@@ -177,7 +316,14 @@ class _RowGroup:
         offs = graph.indptr[rows][:, None] + np.arange(d)
         return cls(graph.indices[offs], graph.weights[offs].astype(np.float64), u[rows], sigma2)
 
-    def update(self, belief: np.ndarray, damping: float, clip: float) -> None:
+    @property
+    def cfgs(self) -> int:
+        """Configurations one update enumerates: rows x 2^d."""
+        return self.resid.size
+
+    def plan(self, belief: np.ndarray, damping: float, clip: float) -> tuple[list, typing.Callable[[], None]]:
+        """One check update as block tasks, which may run on any thread in any
+        order, and the finish that completes it once they have all run."""
         v = np.clip(belief[self.idx] - self.c_msg, -clip, clip)
         half = v * 0.5
         n, d = v.shape
@@ -185,27 +331,38 @@ class _RowGroup:
         pos = np.empty_like(v)
         neg = np.empty_like(v)
         step = max(1, _BLOCK_CFGS >> d)
-        buf = np.empty((min(n, step + 1), self.signs_t.shape[1]))
+        tasks = []
         s = 0
         while s < n:
             # Never leave a last block of one row: BLAS sums a one-row product
             # in another order, which would move the last bits of its messages.
             e = s + step if n - s > step + 1 else n
-            base = np.matmul(half[s:e], self.signs_t, out=buf[: e - s])
-            base += self.resid[s:e]
-            if row_max:
-                base -= base.max(axis=1, keepdims=True)
-            np.exp(base, out=base)
-            np.matmul(base, self.plus, out=pos[s:e])
-            np.matmul(base, self.minus, out=neg[s:e])  # not tot - pos: that cancellation costs ~6 digits
+            tasks.append(partial(self._block, half, pos, neg, row_max, s, e))
             s = e
-        np.maximum(pos, _TINY, out=pos)
-        np.maximum(neg, _TINY, out=neg)
-        out = np.log(pos)
-        out -= np.log(neg)
-        out -= v
-        np.clip(out, -clip, clip, out=out)
-        self.c_msg = _damped(self.c_msg, out, damping)
+
+        def finish() -> None:
+            np.maximum(pos, _TINY, out=pos)
+            np.maximum(neg, _TINY, out=neg)
+            out = np.log(pos)
+            out -= np.log(neg)
+            out -= v
+            np.clip(out, -clip, clip, out=out)
+            self.c_msg = _damped(self.c_msg, out, damping)
+
+        return tasks, finish
+
+    def _block(self, half, pos, neg, row_max: bool, s: int, e: int) -> None:
+        """The two sums of rows s:e, written to pos[s:e] and neg[s:e]."""
+        base = np.matmul(half[s:e], self.signs_t, out=_scratch(e - s, self.signs_t.shape[1]))
+        base += self.resid[s:e]
+        if row_max:
+            base -= base.max(axis=1, keepdims=True)
+        np.exp(base, out=base)
+        np.matmul(base, self.plus, out=pos[s:e])
+        np.matmul(base, self.minus, out=neg[s:e])  # not tot - pos: that cancellation costs ~6 digits
+
+    def update(self, belief: np.ndarray, damping: float, clip: float) -> None:
+        _update([self], belief, damping, clip)
 
     def accumulate(self, belief: np.ndarray) -> None:
         belief += np.bincount(self.idx.ravel(), weights=self.c_msg.ravel(), minlength=len(belief))
@@ -214,13 +371,24 @@ class _RowGroup:
 class _OuterChecks:
     """Parity checks of the outer code, updated by the tanh rule."""
 
+    cfgs = 0  # the tanh rule enumerates no configurations
+
     def __init__(self, code):
         self.code = code
         self.c_msg = np.zeros(len(code.edge_var))
 
-    def update(self, belief: np.ndarray, damping: float, clip: float) -> None:
-        v = np.clip(belief[self.code.edge_var] - self.c_msg, -clip, clip)
-        self.c_msg = _damped(self.c_msg, tanh_rule_messages(self.code, v), damping)
+    def plan(self, belief: np.ndarray, damping: float, clip: float) -> tuple[list, typing.Callable[[], None]]:
+        """One tanh pass as a single task, and the damping as its finish."""
+        new = []
+
+        def tanh_pass() -> None:
+            v = np.clip(belief[self.code.edge_var] - self.c_msg, -clip, clip)
+            new.append(tanh_rule_messages(self.code, v))
+
+        def finish() -> None:
+            self.c_msg = _damped(self.c_msg, new[0], damping)
+
+        return [tanh_pass], finish
 
     def accumulate(self, belief: np.ndarray) -> None:
         belief += np.bincount(self.code.edge_var, weights=self.c_msg, minlength=len(belief))
@@ -251,6 +419,15 @@ def _check_inputs(graph: FactorGraph, u, sigma2: float) -> np.ndarray:
     return u
 
 
+def _update(groups: list, belief: np.ndarray, damping: float, clip: float) -> None:
+    """One check update of every group against the same beliefs: all their
+    tasks on this process's decode threads, then their finishes in order."""
+    plans = [g.plan(belief, damping, clip) for g in groups]
+    _THREADS.run([task for tasks, _ in plans for task in tasks], sum(g.cfgs for g in groups))
+    for _, finish in plans:
+        finish()
+
+
 def _row_groups(graph: FactorGraph, u: np.ndarray, sigma2: float) -> list:
     return [_RowGroup.of_degree(graph, int(d), u, sigma2) for d in np.unique(graph.row_degrees())]
 
@@ -270,8 +447,7 @@ def _bp(groups: list, prior: np.ndarray, cfg: DecoderConfig, code) -> LlrVector:
     stable = 0
     reason = "max_iters"
     for iterations in range(1, cfg.max_iters + 1):
-        for g in groups:
-            g.update(belief, cfg.damping, cfg.llr_clip)
+        _update(groups, belief, cfg.damping, cfg.llr_clip)
         belief = prior.copy()
         for g in groups:
             g.accumulate(belief)

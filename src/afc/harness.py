@@ -34,7 +34,7 @@ from .core import (
     power_scale,
     reciprocal_prime_weights,
 )
-from .decoder import MAX_ENUM_DEGREE, DecoderConfig, bp_decode, bp_decode_joint
+from .decoder import MAX_ENUM_DEGREE, DecoderConfig, _default_workers, _use_threads, bp_decode, bp_decode_joint
 from .precoder import LdpcCode, ldpc_decode, ldpc_encode, ldpc_generate
 
 __all__ = [
@@ -185,11 +185,17 @@ def _outer_code_size(k_msg: int, precode_rate: float) -> tuple[int, int]:
 
 
 def check_outer_code(cfg: ExperimentConfig) -> None:
-    """Refuse a config whose outer code has fewer checks than its variable
-    degree, or fewer bits than the fountain rows' degree."""
+    """Refuse a config whose outer code can never be built, or has fewer bits
+    than the fountain rows' degree. The outer code needs a full-rank H: with
+    as many checks as the variable degree every bit covers every check (rank
+    1, full only for one check), and with an even degree the checks always
+    sum to zero (rank < m)."""
     n, m = _outer_code_size(cfg.k_msg, cfg.precode_rate)
-    if cfg.ldpc_var_degree > m:
-        raise ValueError(f"ldpc_var_degree {cfg.ldpc_var_degree} exceeds the outer code's {m} checks")
+    dv = cfg.ldpc_var_degree
+    if dv > m or dv == m > 1:
+        raise ValueError(f"ldpc_var_degree {dv} needs more than the outer code's {m} checks")
+    if dv % 2 == 0:
+        raise ValueError(f"ldpc_var_degree {dv} is even: the outer code's checks would sum to zero")
     if cfg.degree > n:
         raise ValueError(f"degree {cfg.degree} exceeds the outer code's {n} bits")
 
@@ -269,7 +275,8 @@ _worker_sweep: tuple[ExperimentConfig, list[_VariantSetup]] | None = None
 
 
 def _adopt_sweep(cfg: ExperimentConfig, setups: list[_VariantSetup], sweep_pid: int) -> None:
-    """Pool initializer: take the sweep's config and setups, let go of its
+    """Pool initializer: take the sweep's config and setups, decode on one
+    thread (the workers already fill the cores), let go of the sweep's
     stdout, and exit once the sweep process is gone. A killed sweep would
     otherwise leave its workers blocked on the task queue for good, holding
     the pipe a reader of the sweep's output waits on."""
@@ -278,6 +285,7 @@ def _adopt_sweep(cfg: ExperimentConfig, setups: list[_VariantSetup], sweep_pid: 
 
     global _worker_sweep
     _worker_sweep = (cfg, setups)
+    _use_threads(1)
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, 1)
     os.close(devnull)
@@ -293,23 +301,6 @@ def _adopt_sweep(cfg: ExperimentConfig, setups: list[_VariantSetup], sweep_pid: 
 def _pool_frame(setup_index: int, n_symbols: int, snr_db: float, point_tag: int, trial: int) -> tuple[int, int]:
     cfg, setups = _worker_sweep
     return _run_frame(cfg, setups[setup_index], n_symbols, snr_db, point_tag, trial)
-
-
-# the thread settings the installed BLAS (OpenBLAS) honours, in its order
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def _default_workers() -> int:
-    """Frame workers for a sweep: the CPUs this process may run on divided
-    by its BLAS thread setting, at least 1. Unpinned BLAS already spreads a
-    frame over every core, so without a setting sweeps run serially."""
-    for var in _BLAS_THREAD_VARS:
-        value = os.environ.get(var, "").strip()
-        if value:
-            threads = int(value) if value.isdigit() else 0
-            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-            return max(1, cpus // threads) if threads else 1
-    return 1
 
 
 def _point_frame_cap(cfg: ExperimentConfig) -> int:

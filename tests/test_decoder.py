@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -26,6 +29,8 @@ from afc.decoder import (
     DecoderConfig,
     LlrVector,
     UnsupportedDegreeError,
+    _THREADS,
+    _use_threads,
     bp_decode,
     bp_decode_joint,
     check_to_var_messages,
@@ -623,6 +628,110 @@ class TestStopReason:
     def test_max_iters(self):
         res = bp_decode(*self.noiseless(12), 1e-12, DecoderConfig(max_iters=1))
         assert res.stop_reason == "max_iters" and res.iterations == 1
+
+
+@pytest.fixture
+def decode_threads():
+    """Run a decode on a given number of threads; back to the CPU rule after."""
+    yield _use_threads
+    _use_threads(None)
+
+
+def _same_result(a: LlrVector, b: LlrVector) -> bool:
+    return (np.array_equal(a.llr, b.llr), a.iterations, a.stop_reason) == (True, b.iterations, b.stop_reason)
+
+
+class TestThreads:
+    """A decode gives the same bits on any number of threads."""
+
+    @pytest.mark.parametrize("clip", [30.0, 300.0])
+    @pytest.mark.parametrize("d", range(1, MAX_ENUM_DEGREE + 1))
+    def test_row_group_update(self, d, clip, decode_threads):
+        # two whole blocks and a remainder block of 3 rows
+        n_rows = 2 * max(1, _BLOCK_CFGS >> d) + 3
+        c_msg = {}
+        for threads in (1, 3):
+            decode_threads(threads)
+            g, _, _, belief = TestBlockedUpdate().group(d, n_rows)
+            for damping in (0.0, 0.5):
+                g.update(belief, damping, clip)
+            c_msg[threads] = g.c_msg
+        assert _THREADS.pool is not None
+        assert np.array_equal(c_msg[1], c_msg[3])
+
+    def test_bp_decode_mixed_degrees(self, decode_threads):
+        dist = DegreeDistribution((0.0, 0.25, 0.0, 0.0, 0.25, 0.0, 0.0, 0.25, 0.0, 0.0, 0.25))
+        policy = EncoderPolicy(Selection.UNIFORM_RANDOM, WeightAssignment.WITH_REPLACEMENT)
+        g = build_graph(300, 1200, dist, RECIP, policy, substream(5, 1))
+        assert set(np.unique(g.row_degrees())) == {2, 5, 8, 11}
+        b = bits_to_bpsk(substream(5, 2).integers(0, 2, 300))
+        u = encode(g, b) + substream(5, 3).normal(0.0, 0.2, g.m)
+        results = {}
+        for threads in (1, 2):
+            decode_threads(threads)
+            results[threads] = bp_decode(g, u, 0.04, DecoderConfig(max_iters=20))
+        assert results[1].iterations > 3
+        assert _same_result(results[1], results[2])
+
+    def test_bp_decode_joint_precoded_frame(self, decode_threads):
+        code = ldpc_generate(1000, 0.95, 3, substream(30, 1))
+        g = build_graph(code.n, 400, D8, RECIP, BAL, substream(6, 31))
+        b = bits_to_bpsk(ldpc_encode(code, substream(6, 32).integers(0, 2, code.k_msg)))
+        u = encode(g, b) + substream(6, 33).normal(0.0, 0.05, g.m)
+        results = {}
+        for threads in (1, 2):
+            decode_threads(threads)
+            results[threads] = bp_decode_joint(g, u, 0.0025, code, DecoderConfig(max_iters=30))
+        assert results[1].iterations > 3
+        assert _same_result(results[1], results[2])
+
+    def test_failed_task_is_raised_once_the_others_finish(self, decode_threads):
+        decode_threads(2)
+        ran = []
+
+        def fail():
+            raise RuntimeError("task failed")
+
+        with pytest.raises(RuntimeError, match="task failed"):
+            _THREADS.run([lambda: ran.append(1), fail, *[lambda: ran.append(1)] * 6], 0)
+        assert len(ran) <= 7
+        _THREADS.run([lambda: ran.append(2)] * 4, 0)  # the pool still serves the next update
+        assert ran.count(2) == 4
+
+    def test_every_task_runs_once_on_more_threads_than_cores(self, decode_threads):
+        # a task taken twice or never, or a caller returning while one still
+        # runs, leaves a count other than 1
+        decode_threads(5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(200):
+                hits = [0] * 40
+                _THREADS.run([lambda i=i: hits.__setitem__(i, hits[i] + 1) for i in range(40)], 0)
+                assert hits == [1] * 40
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_cpu_rule_threads_updates_of_two_blocks_or_more(self, monkeypatch, decode_threads):
+        decode_threads(None)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        two_blocks = 2 * (_BLOCK_CFGS >> 8)
+        for n_rows, pooled in ((two_blocks - 1, False), (two_blocks, True)):
+            g, _, _, belief = TestBlockedUpdate().group(8, n_rows)
+            g.update(belief, 0.5, 30.0)
+            assert (_THREADS.pool is not None) is pooled
+
+    def test_unpinned_blas_decodes_serially(self, monkeypatch, decode_threads):
+        decode_threads(None)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        before = threading.active_count()
+        g = build_graph(300, 700, D8, RECIP, BAL, substream(7, 1))
+        res = bp_decode(g, encode(g, bits_to_bpsk(substream(7, 2).integers(0, 2, 300))), 1e-12)
+        assert res.iterations >= 1
+        assert threading.active_count() == before
+        assert _THREADS.pool is None
 
 
 class TestLlrVector:

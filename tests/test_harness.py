@@ -14,7 +14,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from afc import cli, harness
+from afc import cli, decoder, harness
 from afc.cli import main as cli_main
 from afc.harness import (
     CSV_COLUMNS,
@@ -283,6 +283,65 @@ class TestParallelFrames:
         assert pools == []
         assert len(calls) == sum(pt.trials for pt in res.points)
 
+    def test_ber_sweep_bytes_do_not_depend_on_decode_threads(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig(
+            k_msg=200, snr_db=(15.0,), rates=(2.0, 3.0), trials=20, seed=99,
+            variants=("min-degree", "min-degree+precode"),
+        )
+        self.use_workers(monkeypatch, 1)
+        try:
+            for threads in (1, 2):
+                decoder._use_threads(threads)
+                run_ber_sweep(replace(cfg, out=str(tmp_path / f"t{threads}.csv")))
+            assert decoder._THREADS.pool is not None
+        finally:
+            decoder._use_threads(None)
+        for name in ("min-degree", "min-degree-precode"):
+            assert (tmp_path / f"t1_{name}.csv").read_bytes() == (tmp_path / f"t2_{name}.csv").read_bytes()
+
+    def test_pooled_sweep_after_a_threaded_decode(self, tmp_path):
+        """A process whose decode left pool threads running forks its sweep's
+        workers; they must not wait on those threads, which the fork did not
+        copy, and must decode on one thread of their own."""
+        script = tmp_path / "threads_then_pool.py"
+        script.write_text(textwrap.dedent(f"""
+            import os, signal
+            from afc import decoder, harness
+
+            os.sched_getaffinity = lambda pid: {{0, 1}}
+            cfg = harness.ExperimentConfig(k_msg=200, rates=(2.0,), trials=4, max_trial_factor=1,
+                                           variants=("min-degree+precode",))
+            setup = harness._VariantSetup(cfg, "min-degree+precode")
+            harness._run_frame(cfg, setup, 600, 15.0, 0, 0)  # 600 rows: over two blocks
+            assert decoder._THREADS.pool is not None, "the decode ran serially"
+            child = os.fork()
+            if child == 0:  # a threaded decode in a bare fork starts threads of its own
+                signal.alarm(60)
+                harness._run_frame(cfg, setup, 600, 15.0, 0, 1)
+                os._exit(0 if decoder._THREADS.pool is not None else 3)
+            assert os.waitpid(child, 0)[1] == 0, "the forked decode failed"
+            run_frame = harness._run_frame
+
+            def recording(*args):
+                out = run_frame(*args)
+                with open(os.path.join({str(tmp_path)!r}, f"{{os.getpid()}}.worker"), "a") as fh:
+                    fh.write(f"{{decoder._THREADS.count}} {{decoder._THREADS.pool is None}}\\n")
+                return out
+
+            harness._run_frame = recording
+            (res,) = harness.run_ber_sweep(cfg)
+            print(res.points[0].trials, flush=True)
+        """))
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, str(script)], capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == b"4\n"
+        lines = [line for path in tmp_path.glob("*.worker") for line in path.read_text().splitlines()]
+        assert len(lines) == 4 and 1 <= len(list(tmp_path.glob("*.worker"))) <= 2
+        assert set(lines) == {"1 True"}
+
     @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads process states from /proc")
     def test_killed_sweep_takes_its_workers_along(self, tmp_path):
         """Workers write nothing to their sweep's stdout, and when the sweep
@@ -442,6 +501,8 @@ class TestConfig:
             {"rates": (-1.0, 1.0)},
             {"ldpc_var_degree": 0},
             {"k_msg": 950, "ldpc_var_degree": 60},  # outer code has m = 50 checks
+            {"k_msg": 95, "ldpc_var_degree": 5},  # m = 5: every bit would cover every check
+            {"k_msg": 950, "ldpc_var_degree": 4},  # even: the checks of every code sum to zero
             {"k_msg": 100, "precode_rate": 0.999},  # outer code has m = 0 checks
         ],
         ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()),
@@ -466,7 +527,8 @@ class TestConfig:
     def test_outer_code_checked_only_when_precoded(self):
         cfg = ExperimentConfig(k_msg=100, precode_rate=0.999, variants=("uniform", "min-degree"))
         assert cfg.precode_rate == 0.999
-        assert ExperimentConfig(k_msg=95, ldpc_var_degree=5).ldpc_var_degree == 5  # m = 5
+        assert ExperimentConfig(k_msg=114, ldpc_var_degree=5).ldpc_var_degree == 5  # m = 6
+        assert ExperimentConfig(k_msg=19, ldpc_var_degree=1).ldpc_var_degree == 1  # m = 1: one check on every bit
 
     def test_without_replacement_allows_smaller_degree(self):
         assert ExperimentConfig(degree=5, assignment="without-replacement").degree == 5
@@ -580,6 +642,8 @@ class TestCli:
             (["weights", "search", "--size", "8", "--degree", "8", "--budget", "-3"], "budget must be >= 1"),
             (["throughput-sweep", "--n-budget-factor", "0", "--k-msg", "2000", "--snr-db", "5"],
              "n_budget_factor must be >= 1"),
+            (["ber-sweep", "--k-msg", "50", "--snr-db", "10", "--rates", "1.0", "--trials", "1",
+              "--variants", "min-degree+precode"], "needs more than the outer code's 3 checks"),
         ],
         ids=["ber-sweep", "weights-check", "outer-code", "throughput-sweep", "shaping-delta", "shaping-nan",
              "weights-search", "unique-solution-l-max-1", "unique-solution-l-max-5", "unique-solution-weights",
@@ -587,7 +651,8 @@ class TestCli:
              "ber-sweep-zero-denominator", "ber-sweep-no-rates", "ber-sweep-two-snrs", "ber-sweep-k-msg-5",
              "ber-sweep-snr-nan", "pairwise-snr-nan", "pairwise-mc-draws", "ber-sweep-trials-not-int",
              "ber-sweep-rate-nan", "unique-solution-l-max-0", "throughput-sweep-snr-overflow",
-             "ber-sweep-snr-overflow", "weights-search-negative-budget", "throughput-sweep-n-budget-factor-0"],
+             "ber-sweep-snr-overflow", "weights-search-negative-budget", "throughput-sweep-n-budget-factor-0",
+             "ber-sweep-outer-code-of-rank-one"],
     )
     def test_refused_configuration_is_a_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
