@@ -17,12 +17,15 @@ them together with the parity checks of an outer LDPC code, and
 
 Each iteration's check update is a list of independent tasks (the tanh pass
 of the outer checks, then the fountain rows in blocks) that the decoding
-thread and a small per-process thread pool take in turn, followed by a
+thread and a small per-process thread pool pop from one deque, followed by a
 serial finish per group; numpy's matmul and exp release the interpreter
-lock. A process decodes on as many threads as its affinity CPUs divided by
-the BLAS thread setting (``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``):
-with BLAS unpinned, BLAS already spreads its calls over the cores and a
-decode runs serially, starting no thread. The frame workers of a sweep each
+lock. The decoding thread waits for every pool thread before the finish. A
+task that raises empties the deque, so the update starts no further task,
+and the decoding thread raises the error. A process decodes on as many
+threads as its affinity CPUs divided by the BLAS thread setting
+(``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``): with BLAS unpinned,
+BLAS already spreads its calls over the cores and a decode runs serially,
+starting no thread. The frame workers of a sweep each
 decode on one thread, since the sweep already fills the cores, and updates
 smaller than two blocks run serially everywhere. Every task makes the same
 BLAS calls on the same shapes wherever it runs, so results do not depend on
@@ -34,6 +37,8 @@ from __future__ import annotations
 import os
 import threading
 import typing
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -110,7 +115,7 @@ def _default_workers() -> int:
 class _Threads:
     """This process's decode threads: a count (None: the ``_default_workers``
     rule, read at each check update of at least ``_THREADED_CFGS``
-    configurations) and a pool of count - 1 threads, started by the first
+    configurations) and a pool of count - 1 threads, created by the first
     update that has work for them."""
 
     def __init__(self) -> None:
@@ -119,58 +124,39 @@ class _Threads:
 
     def forget_pool(self) -> None:
         self.pool = None
-        self.size = 0
 
     def run(self, tasks: list, cfgs: int) -> None:
-        """Run every task of an update of ``cfgs`` configurations once. Pool
-        threads, and the caller, take the next task from the shared list
-        until it is empty; with one thread the caller runs them in order. The
-        caller returns once every task taken has finished; it does not wait
-        for a pool thread that found none."""
+        """Run every task of an update of ``cfgs`` configurations once. The
+        caller, and up to count - 1 pool threads, pop tasks from one deque
+        until it is empty; with one thread the caller runs them in order. A
+        task that raises clears the deque, so the update starts no further
+        task. The caller waits for every helper, since the tasks write into
+        arrays it reads next, and then raises the first task error."""
         count = self.count or (_default_workers() if cfgs >= _THREADED_CFGS else 1)
-        helpers = min(count, len(tasks)) - 1
-        if helpers < 1:
-            for task in tasks:
-                task()
-            return
-        if self.size < helpers:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self.shutdown()
-            self.pool = ThreadPoolExecutor(helpers, thread_name_prefix="afc-decode")
-            self.size = helpers
-        done = threading.Condition()
-        todo = iter(tasks)
-        running = 0
-        errors = []
+        todo = deque(tasks)
 
         def drain() -> None:
-            nonlocal todo, running
             while True:
-                with done:
-                    task = next(todo, None)
-                    if task is None:
-                        return
-                    running += 1
+                try:
+                    task = todo.popleft()
+                except IndexError:  # every task is taken
+                    return
                 try:
                     task()
-                except BaseException as exc:  # raised again by the caller
-                    with done:
-                        errors.append(exc)
-                        todo = iter(())
-                finally:
-                    with done:
-                        running -= 1
-                        done.notify_all()
+                except BaseException:
+                    todo.clear()
+                    raise
 
-        for _ in range(helpers):
-            self.pool.submit(drain)  # drain raises nothing: errors go to the caller
-        drain()
-        with done:
-            # the tasks write into arrays the caller reads next
-            done.wait_for(lambda: running == 0)
-        if errors:
-            raise errors[0]
+        n_helpers = min(count, len(tasks)) - 1
+        if n_helpers > 0 and self.pool is None:
+            self.pool = ThreadPoolExecutor(count - 1, thread_name_prefix="afc-decode")
+        helpers = [self.pool.submit(drain) for _ in range(n_helpers)]
+        try:
+            drain()
+        finally:
+            wait(helpers)
+        for helper in helpers:
+            helper.result()
 
     def shutdown(self) -> None:
         if self.pool is not None:

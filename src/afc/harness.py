@@ -35,7 +35,7 @@ from .core import (
     reciprocal_prime_weights,
 )
 from .decoder import MAX_ENUM_DEGREE, DecoderConfig, _default_workers, _use_threads, bp_decode, bp_decode_joint
-from .precoder import LdpcCode, ldpc_decode, ldpc_encode, ldpc_generate
+from .precoder import LdpcCode, check_var_degree, ldpc_decode, ldpc_encode, ldpc_generate
 
 __all__ = [
     "ExperimentConfig",
@@ -185,17 +185,10 @@ def _outer_code_size(k_msg: int, precode_rate: float) -> tuple[int, int]:
 
 
 def check_outer_code(cfg: ExperimentConfig) -> None:
-    """Refuse a config whose outer code can never be built, or has fewer bits
-    than the fountain rows' degree. The outer code needs a full-rank H: with
-    as many checks as the variable degree every bit covers every check (rank
-    1, full only for one check), and with an even degree the checks always
-    sum to zero (rank < m)."""
+    """Refuse a config whose outer code can never be built (by the rule of
+    ``check_var_degree``), or has fewer bits than the fountain rows' degree."""
     n, m = _outer_code_size(cfg.k_msg, cfg.precode_rate)
-    dv = cfg.ldpc_var_degree
-    if dv > m or dv == m > 1:
-        raise ValueError(f"ldpc_var_degree {dv} needs more than the outer code's {m} checks")
-    if dv % 2 == 0:
-        raise ValueError(f"ldpc_var_degree {dv} is even: the outer code's checks would sum to zero")
+    check_var_degree(cfg.ldpc_var_degree, m)
     if cfg.degree > n:
         raise ValueError(f"degree {cfg.degree} exceeds the outer code's {n} bits")
 

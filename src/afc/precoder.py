@@ -27,6 +27,7 @@ import numpy as np
 __all__ = [
     "LdpcCode",
     "LdpcConstructionError",
+    "check_var_degree",
     "ldpc_generate",
     "ldpc_encode",
     "ldpc_decode",
@@ -182,6 +183,18 @@ def _greedy_rows(n: int, m: int, dv: int, rng: np.random.Generator) -> list:
     return np.split(var_of_edge, np.cumsum(np.bincount(flat, minlength=m))[:-1])
 
 
+def check_var_degree(var_degree: int, m: int) -> None:
+    """Refuse a variable degree that can never give a full-rank H with m
+    checks: below 1, above m, equal to m > 1 (every bit covers every check,
+    so H has rank 1), or even (the checks always sum to zero, so rank < m)."""
+    if var_degree < 1:
+        raise ValueError(f"variable degree {var_degree} must be >= 1")
+    if var_degree > m or var_degree == m > 1:
+        raise ValueError(f"variable degree {var_degree} needs more than the outer code's {m} checks")
+    if var_degree % 2 == 0:
+        raise ValueError(f"variable degree {var_degree} is even: the outer code's checks would sum to zero")
+
+
 def ldpc_generate(
     n: int,
     rate: float,
@@ -192,8 +205,7 @@ def ldpc_generate(
     if not 0.0 < rate < 1.0:
         raise ValueError("rate must lie in (0, 1)")
     m = int(round(n * (1.0 - rate)))
-    if not 1 <= var_degree <= m:
-        raise ValueError(f"variable degree must lie in [1, m = {m}]")
+    check_var_degree(var_degree, m)
     if rng is None:
         rng = np.random.default_rng()
     for _ in range(_MAX_ATTEMPTS):

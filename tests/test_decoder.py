@@ -698,6 +698,36 @@ class TestThreads:
         _THREADS.run([lambda: ran.append(2)] * 4, 0)  # the pool still serves the next update
         assert ran.count(2) == 4
 
+    def test_task_failing_on_a_pool_thread_is_raised_by_the_caller(self, decode_threads):
+        decode_threads(2)
+        caller = threading.current_thread()
+        barrier = threading.Barrier(2, timeout=10)
+
+        def hold():
+            # neither task goes on until both are taken, so the caller and
+            # the pool thread each hold one
+            barrier.wait()
+            return threading.current_thread()
+
+        def fail_off_caller():
+            if hold() is not caller:
+                raise RuntimeError("pool task failed")
+
+        with pytest.raises(RuntimeError, match="pool task failed"):
+            _THREADS.run([fail_off_caller] * 2, 0)
+        threads = []
+        _THREADS.run([lambda: threads.append(hold())] * 2, 0)
+        assert caller in threads and len(set(threads)) == 2  # the pool still serves the next update
+
+    def test_pool_is_created_once_with_count_minus_one_threads(self, decode_threads):
+        decode_threads(3)
+        _THREADS.run([lambda: None] * 2, 0)
+        pool = _THREADS.pool
+        for n_tasks in substream(8, 1).integers(2, 41, 100):
+            _THREADS.run([lambda: None] * int(n_tasks), 0)
+        assert _THREADS.pool is pool
+        assert sum(t.name.startswith("afc-decode") for t in threading.enumerate()) <= 2
+
     def test_every_task_runs_once_on_more_threads_than_cores(self, decode_threads):
         # a task taken twice or never, or a caller returning while one still
         # runs, leaves a count other than 1

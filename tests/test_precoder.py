@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from afc import precoder
 from afc.precoder import (
     LdpcCode,
     LdpcConstructionError,
@@ -212,6 +213,18 @@ class TestGenerate:
             ldpc_generate(40, 0.99, 3, substream(40, 3))  # m = 0 < var_degree
         with pytest.raises(ValueError):
             ldpc_generate(1000, 0.95, 0, substream(40, 3))  # variables in no check
+
+    @pytest.mark.parametrize(
+        "n,rate,var_degree",
+        [(1000, 0.95, 4), (1000, 0.95, 2), (200, 0.95, 4), (100, 0.95, 5)],  # even, even, even, m = 5
+    )
+    def test_rank_deficient_degree_refused_before_any_attempt(self, monkeypatch, n, rate, var_degree):
+        def no_attempt(*args):
+            raise AssertionError("a construction was attempted")
+
+        monkeypatch.setattr(precoder, "_greedy_rows", no_attempt)
+        with pytest.raises(ValueError, match=f"variable degree {var_degree}"):
+            ldpc_generate(n, rate, var_degree, substream(40, 4))
 
 
 class TestEncode:
