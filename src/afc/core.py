@@ -372,25 +372,47 @@ def _assign_weights(
     return out
 
 
-def _assign_balanced(
-    ws: WeightSet,
-    k: int,
-    degrees: np.ndarray,
-    indices: np.ndarray,
-) -> np.ndarray:
-    """Whole-set row permutations placed so variables collect even weight power."""
+def _assign_balanced(ws: WeightSet, k: int, indices: np.ndarray) -> np.ndarray:
+    """Whole-set row permutations placed so variables collect even weight power.
+
+    Row by row, the weakest variable (least weight power so far, ties to the
+    earlier edge) takes the largest magnitude, the next weakest the next, and
+    each variable's power grows by its weight squared. The rows are placed
+    one run at a time: a run is a maximal stretch of consecutive rows none of
+    which shares a variable with an earlier row of the run. Within a run
+    each variable gains at most one term, so one stable argsort and one
+    scatter give the same comparisons and the same doubles as the row loop.
+    Every degree is ``f`` and every row holds distinct variables, as both
+    selections guarantee; a repeated variable would lose a term to the
+    scatter.
+    """
     f = ws.f
-    desc = sorted(ws.values, reverse=True)
-    strength = [0.0] * k
-    flat = indices.tolist()
-    out = [0.0] * len(flat)
-    for pos in range(0, len(flat), f):
-        idx = flat[pos : pos + f]
-        order = sorted(range(f), key=lambda t: strength[idx[t]])  # stable: weakest variable first
-        for t, w in zip(order, desc):  # weakest gets the largest magnitude
-            out[pos + t] = w
-            strength[idx[t]] += w * w
-    return np.array(out, dtype=np.float64)
+    desc = np.sort(ws.as_array())[::-1]
+    rows = indices.reshape(-1, f)
+    n = len(rows)
+    # the last earlier row holding each edge's variable (-1: none): a stable
+    # sort keeps each variable's edges in row order
+    by_var = np.argsort(indices, kind="stable")
+    repeat = indices[by_var[1:]] == indices[by_var[:-1]]
+    prev_edge = np.full(len(indices), -1, dtype=np.int64)
+    prev_edge[by_var[1:][repeat]] = by_var[:-1][repeat] // f
+    prev = prev_edge.reshape(n, f).max(axis=1).tolist()
+    starts = [0]
+    for r, p in enumerate(prev):
+        if p >= starts[-1]:  # row r repeats a variable of the open run
+            starts.append(r)
+    strength = np.zeros(k)
+    out = np.empty((n, f))
+    row_ids = np.arange(n)[:, None]
+    for s, e in zip(starts, starts[1:] + [n]):
+        idx = rows[s:e]
+        power = strength[idx]
+        order = power.argsort(axis=1, kind="stable")  # weakest variable first
+        out[row_ids[s:e], order] = desc  # weakest gets the largest magnitude
+        w = out[s:e]
+        power += w * w
+        strength[idx] = power
+    return out.ravel()
 
 
 def build_graph(
@@ -414,7 +436,7 @@ def build_graph(
     else:
         indices = _select_uniform(k, degrees, rng)
     if policy.weight_assignment is WeightAssignment.BALANCED_PERMUTATION:
-        weights = _assign_balanced(ws, k, degrees, indices)
+        weights = _assign_balanced(ws, k, indices)
     else:
         weights = _assign_weights(ws, degrees, policy.weight_assignment, rng)
     indptr = np.zeros(n_rows + 1, dtype=np.int64)

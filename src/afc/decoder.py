@@ -426,6 +426,12 @@ def _bp(groups: list, prior: np.ndarray, cfg: DecoderConfig, code) -> LlrVector:
     given) with no belief exactly 0, or on hard decisions unchanged for 2
     straight iterations (4 with a code); ``stop_reason`` names the rule that
     fired, or ``"max_iters"`` when none did.
+
+    An iteration that leaves the hard decisions unchanged and every group's
+    check messages bit for bit as they were is an exact fixed point: every
+    later iteration repeats it. The loop then returns at once what running
+    on would return: the same beliefs, with ``iterations`` and
+    ``stop_reason`` of the stop rule that would fire next.
     """
     stable_run = 2 if code is None else 4
     belief = prior
@@ -433,6 +439,7 @@ def _bp(groups: list, prior: np.ndarray, cfg: DecoderConfig, code) -> LlrVector:
     stable = 0
     reason = "max_iters"
     for iterations in range(1, cfg.max_iters + 1):
+        prev_msgs = [g.c_msg for g in groups]  # a finish rebinds c_msg, so these stay as they are
         _update(groups, belief, cfg.damping, cfg.llr_clip)
         belief = prior.copy()
         for g in groups:
@@ -441,16 +448,25 @@ def _bp(groups: list, prior: np.ndarray, cfg: DecoderConfig, code) -> LlrVector:
         if code is not None and syndrome_ok(code, bits) and np.all(belief != 0):
             reason = "syndrome"
             break
+        unchanged = prev_bits is not None and np.array_equal(bits, prev_bits)
         if cfg.stop_on_stable_decisions:
-            if prev_bits is not None and np.array_equal(bits, prev_bits):
-                stable += 1
-                if stable >= stable_run:
-                    reason = "stable"
-                    break
-            else:
-                stable = 0
+            stable = stable + 1 if unchanged else 0
+            if stable >= stable_run:
+                reason = "stable"
+                break
+        if unchanged and all(_same_bits(g.c_msg, msg) for g, msg in zip(groups, prev_msgs)):
+            stop = iterations + stable_run - stable  # where the stable rule would fire
+            if cfg.stop_on_stable_decisions and stop <= cfg.max_iters:
+                return LlrVector(llr=belief, iterations=stop, stop_reason="stable")
+            return LlrVector(llr=belief, iterations=cfg.max_iters, stop_reason="max_iters")
         prev_bits = bits
     return LlrVector(llr=belief, iterations=iterations, stop_reason=reason)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal float64 arrays bit for bit: +0 and -0 differ, as the next
+    iteration's arithmetic may tell them apart."""
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def bp_decode(

@@ -275,7 +275,9 @@ def ldpc_decode(code: LdpcCode, llr, max_iters: int = 50) -> tuple[np.ndarray, b
     hard decisions satisfy every check with no belief exactly 0, or after
     ``max_iters``; ``converged`` says which. An all-erasure input whose
     zero-tie decisions happen to form a codeword is therefore not reported
-    as converged.
+    as converged. An iteration that changes no decision and no message bit
+    is a fixed point that would last to ``max_iters``, so the decode
+    returns there with the bits and the outcome of the full run.
     """
     from .decoder import DecoderConfig, _bp, _finite_vector, _OuterChecks  # afc.decoder imports this module
 

@@ -220,6 +220,49 @@ class TestBuildGraph:
             strength[idx] += row * row
 
 
+def reference_assign_balanced(ws, k, indices):
+    """The balanced placement one row at a time, in Python floats."""
+    f = ws.f
+    desc = sorted(ws.values, reverse=True)
+    strength = [0.0] * k
+    flat = indices.tolist()
+    out = [0.0] * len(flat)
+    for pos in range(0, len(flat), f):
+        idx = flat[pos : pos + f]
+        order = sorted(range(f), key=lambda t: strength[idx[t]])  # stable: weakest variable first
+        for t, w in zip(order, desc):  # weakest gets the largest magnitude
+            out[pos + t] = w
+            strength[idx[t]] += w * w
+    return np.array(out, dtype=np.float64)
+
+
+class TestBalancedPlacement:
+    """Placing a run of variable-disjoint rows at once gives the row loop's weights."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.integers(8, 2000),
+        epochs=st.floats(0.0, 4.0),
+        selection=st.sampled_from(Selection),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_row_loop(self, k, epochs, selection, seed):
+        # an epoch is k / 8 rows, the rows that touch each variable about once
+        self.assert_matches(k, max(1, round(epochs * k / 8)), selection, seed)
+
+    # at k == 8 every row holds every variable, so every run is one row
+    @pytest.mark.parametrize("rows", [1, 2, 40])
+    @pytest.mark.parametrize("selection", list(Selection), ids=lambda s: s.value)
+    def test_matches_row_loop_at_k_8(self, selection, rows):
+        self.assert_matches(8, rows, selection, rows)
+
+    @staticmethod
+    def assert_matches(k, rows, selection, seed):
+        policy = EncoderPolicy(selection, WeightAssignment.BALANCED_PERMUTATION)
+        g = build_graph(k, rows, D8, RECIP, policy, np.random.default_rng(seed))
+        assert g.weights.tobytes() == reference_assign_balanced(RECIP, k, g.indices).tobytes()
+
+
 class TestEncode:
     def test_two_weight_sum(self):
         c = encode(two_var_graph(), np.array([1.0, 1.0]))

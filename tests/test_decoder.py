@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import afc.decoder as decoder_module
 from afc.channel import snr_to_sigma
 from afc.core import (
     DegreeDistribution,
@@ -30,6 +31,11 @@ from afc.decoder import (
     LlrVector,
     UnsupportedDegreeError,
     _THREADS,
+    _OuterChecks,
+    _bp,
+    _row_groups,
+    _same_bits,
+    _update,
     _use_threads,
     bp_decode,
     bp_decode_joint,
@@ -38,7 +44,7 @@ from afc.decoder import (
     _RowGroup,
     _sign_matrix,
 )
-from afc.precoder import LdpcCode, ldpc_decode, ldpc_encode, ldpc_generate
+from afc.precoder import LdpcCode, ldpc_decode, ldpc_encode, ldpc_generate, syndrome_ok
 from afc.rng import substream
 
 RECIP = reciprocal_prime_weights()
@@ -628,6 +634,107 @@ class TestStopReason:
     def test_max_iters(self):
         res = bp_decode(*self.noiseless(12), 1e-12, DecoderConfig(max_iters=1))
         assert res.stop_reason == "max_iters" and res.iterations == 1
+
+
+def _bp_every_iteration(groups, prior, cfg, code):
+    """The flooding loop without the fixed-point exit: it runs every iteration
+    until a stop rule fires or max_iters is reached."""
+    stable_run = 2 if code is None else 4
+    belief = prior
+    prev_bits = None
+    stable = 0
+    reason = "max_iters"
+    for iterations in range(1, cfg.max_iters + 1):
+        _update(groups, belief, cfg.damping, cfg.llr_clip)
+        belief = prior.copy()
+        for g in groups:
+            g.accumulate(belief)
+        bits = (belief < 0).astype(np.uint8)
+        if code is not None and syndrome_ok(code, bits) and np.all(belief != 0):
+            reason = "syndrome"
+            break
+        if cfg.stop_on_stable_decisions:
+            if prev_bits is not None and np.array_equal(bits, prev_bits):
+                stable += 1
+                if stable >= stable_run:
+                    reason = "stable"
+                    break
+            else:
+                stable = 0
+        prev_bits = bits
+    return LlrVector(llr=belief, iterations=iterations, stop_reason=reason)
+
+
+def _stalled_outer_frame():
+    """Channel LLRs at sigma2 1.2 for the k_msg 200 code: outer-only BP
+    reaches an exact fixed point at iteration 2 without a codeword."""
+    code = ldpc_generate(200, 0.95, 3, substream(30, 1))
+    rng = substream(1, 7)
+    cw = ldpc_encode(code, rng.integers(0, 2, code.k_msg).astype(np.uint8))
+    y = bits_to_bpsk(cw) + math.sqrt(1.2) * rng.standard_normal(code.n)
+    return code, 2 * y / 1.2
+
+
+@pytest.fixture
+def count_updates(monkeypatch):
+    """A list that gets one entry per check update from now on."""
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        _update(*args)
+
+    monkeypatch.setattr(decoder_module, "_update", counted)
+    return calls
+
+
+class TestFixedPointExit:
+    """Returning at an exact fixed point gives what running every iteration gives."""
+
+    @staticmethod
+    def frame(case):
+        """A fresh-groups factory, the prior and the code of one decode."""
+        if case == "outer":
+            code, prior = _stalled_outer_frame()
+            return lambda: [_OuterChecks(code)], prior, code
+        g, u = TestStopReason().noiseless(12)
+        return lambda: _row_groups(g, u, 1e-12), np.zeros(g.k), None
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 3, 4, 5, 60])
+    @pytest.mark.parametrize("stop_on_stable", [True, False], ids=["stable-stop", "no-stable-stop"])
+    @pytest.mark.parametrize("damping", [0.0, 0.5])
+    @pytest.mark.parametrize("case", ["outer", "fountain"])
+    def test_same_result_as_every_iteration(self, case, damping, stop_on_stable, max_iters):
+        groups, prior, code = self.frame(case)
+        cfg = DecoderConfig(max_iters=max_iters, damping=damping, stop_on_stable_decisions=stop_on_stable)
+        got = _bp(groups(), prior, cfg, code)
+        want = _bp_every_iteration(groups(), prior, cfg, code)
+        assert got.llr.tobytes() == want.llr.tobytes()
+        assert (got.iterations, got.stop_reason) == (want.iterations, want.stop_reason)
+
+    @pytest.mark.parametrize(
+        "stop_on_stable,max_iters,iterations,reason",
+        [(True, 4, 4, "max_iters"), (True, 50, 5, "stable"), (False, 50, 50, "max_iters")],
+        ids=["below-stable-stop", "above-stable-stop", "no-stable-stop"],
+    )
+    def test_exit_fires_at_the_fixed_point(self, count_updates, stop_on_stable, max_iters, iterations, reason):
+        code, prior = _stalled_outer_frame()
+        cfg = DecoderConfig(max_iters=max_iters, damping=0.0, stop_on_stable_decisions=stop_on_stable)
+        res = _bp([_OuterChecks(code)], prior, cfg, code)
+        assert (res.iterations, res.stop_reason) == (iterations, reason)
+        assert len(count_updates) == 2
+
+    def test_ldpc_decode_stops_updating_at_the_fixed_point(self, count_updates):
+        code, prior = _stalled_outer_frame()
+        bits, converged = ldpc_decode(code, prior)
+        assert len(count_updates) == 2 and not converged
+        cfg = DecoderConfig(max_iters=50, damping=0.0, stop_on_stable_decisions=False)
+        want = _bp_every_iteration([_OuterChecks(code)], prior, cfg, code)
+        assert np.array_equal(bits, want.hard_bits[: code.k_msg])
+
+    def test_signed_zeros_are_different_messages(self):
+        assert not _same_bits(np.array([0.0, 1.0]), np.array([-0.0, 1.0]))
+        assert _same_bits(np.array([-0.0, 1.0]), np.array([-0.0, 1.0]))
 
 
 @pytest.fixture
