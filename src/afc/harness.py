@@ -371,8 +371,9 @@ def _measure_point(
     Runs cfg.trials frames, then keeps going up to max_trial_factor x until
     the point holds min_error_events bit errors; points still short of that
     are flagged low-confidence. A bisection probe passes ``abort_ber``: it
-    runs at most cfg.trials frames and stops early once the error count
-    already forces the estimate above it, discarding hopeless points quickly.
+    runs at most cfg.trials frames and stops at the first frame after which
+    its errors over all cfg.trials frames would exceed it. Errors only grow,
+    so the probe's verdict ``ber <= abort_ber`` is the full run's.
     The frames come from the sweep's ``_frame_source`` in trial order, so a
     point stops after the same trials wherever they run.
     """
@@ -385,11 +386,8 @@ def _measure_point(
             bit_errors += errors
             frame_errors += int(errors > 0)
             iters_total += iters
-            if abort_ber is not None and trials_run >= 8:
-                # even error-free remaining trials cannot pull the estimate back
-                floor_est = bit_errors / (cfg.trials * setup.k_msg)
-                if floor_est > 4.0 * abort_ber:
-                    break
+            if abort_ber is not None and bit_errors / (cfg.trials * setup.k_msg) > abort_ber:
+                break  # even error-free remaining trials cannot pull the estimate back
             if trials_run < cfg.trials:
                 continue
             ber_so_far = bit_errors / (trials_run * setup.k_msg)

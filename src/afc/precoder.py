@@ -6,10 +6,12 @@ currently least-loaded checks while avoiding repeated check pairs, which
 keeps the Tanner graph free of 4-cycles whenever the pair budget allows.
 When the least-loaded checks would repeat a pair, the variable's remaining
 tries are drawn as one block and the first pair-free one wins; when none
-is, it takes the least-loaded checks and accepts the short cycle. A
-variable's retries cost one array operation, not one draw each. The same
-seed gives the same code on every run, but codes differ from versions that
-drew each retry separately.
+is, it takes the least-loaded checks and accepts the short cycle. The same
+seed gives the same code on every run. Once no try can be pair-free any
+more (for degree 3 and up: once the unused pairs hold no triangle), each
+variable only makes the draws its tries would make and takes the
+fallback's checks. That gives the same code, and leaves the generator in
+the same state, as testing every try, at a fraction of the cost.
 Encoding is systematic (message bits first); the parity positions are the
 pivot columns of a right-preferring GF(2) elimination, so a code reloaded
 from its serialized parity structure reproduces the identical encoder.
@@ -21,6 +23,7 @@ beside the fountain rows in ``bp_decode_joint``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -137,13 +140,13 @@ def _from_check_rows(n: int, check_rows: list) -> LdpcCode:
     return LdpcCode(n=n, k_msg=len(msg_cols), check_rows=permuted, enc_matrix=red.take(msg_cols, axis=1))
 
 
-def _least_loaded(check_deg: np.ndarray, dv: int, rng: np.random.Generator) -> np.ndarray:
-    """The dv least-loaded checks, ascending; ties broken by one uniform draw.
+def _least_loaded(check_deg: np.ndarray, dv: int, rng: np.random.Generator) -> list:
+    """The dv least-loaded checks (in no order); ties broken by one uniform draw.
 
     Loads are integers and the draw lies in [0, 1), so this is the set that
     ``np.lexsort((draw, check_deg))[:dv]`` selects.
     """
-    return np.sort(np.argpartition(check_deg + rng.random(check_deg.size), dv - 1)[:dv])
+    return (check_deg + rng.random(check_deg.size)).argpartition(dv - 1)[:dv].tolist()
 
 
 def _greedy_rows(n: int, m: int, dv: int, rng: np.random.Generator) -> list:
@@ -155,28 +158,61 @@ def _greedy_rows(n: int, m: int, dv: int, rng: np.random.Generator) -> list:
     and takes the first row whose checks are distinct and pairwise unused;
     given success, the pick is uniform over such subsets. If no row
     qualifies, it takes the dv least-loaded checks under a fresh tie draw
-    and accepts the short cycle (those pairs are not recorded). Codes differ
-    from versions before this rule for the same seed, from the first
-    variable whose first try fails.
+    and accepts the short cycle (those pairs are not recorded).
+
+    A try is fresh only if its checks form a dv-clique in U, the graph of
+    still-unused check pairs, and failed tries leave U as it is. So once U
+    has no triangle (dv >= 3) or no edge (dv == 2), every later variable
+    falls back (with dv == 1 every first try is fresh); from then on a
+    variable only makes the draws its tries would make and takes the
+    fallback's checks. Only a graph with at most m**2 / 4 edges can be
+    triangle-free (Mantel), so U's triangles are counted once when it gets
+    there and kept up to date on each fresh pick after that.
     """
     check_deg = np.zeros(m, dtype=np.int64)
-    used = np.zeros((m, m), dtype=bool)  # used[a, b], a < b: checks a and b share a variable
+    # used[a * m + b]: checks a and b share a variable (kept symmetric); the
+    # diagonal counts as used, so a try that repeats a check is not fresh
+    used = bytearray(m * m)
+    used[:: m + 1] = b"\x01" * m
+    used_flat = np.frombuffer(used, dtype=bool)
+    used_rows = used_flat.reshape(m, m)
     iu, ju = np.triu_indices(dv, 1)
+    # block @ pair_of == block[:, iu] * m + block[:, ju]: each try's pairs as flat indices
+    pair_of = np.zeros((dv, iu.size), dtype=np.int64)
+    pair_of[iu, np.arange(iu.size)] = m
+    pair_of[ju, np.arange(iu.size)] = 1
+    unused = m * (m - 1) // 2
+    triangles = None  # U's triangle count, once unused <= m**2 / 4
+    dead = False  # no try can be fresh any more
     picks = np.empty((n, dv), dtype=np.int64)
     for v in range(n):
-        cand = _least_loaded(check_deg, dv, rng)
-        fresh = not used[cand[iu], cand[ju]].any()
-        if not fresh:
-            block = np.sort(rng.integers(0, m, (_TRIES - 1, dv)), axis=1)
-            ok = (np.diff(block, axis=1) > 0).all(axis=1) & ~used[block[:, iu], block[:, ju]].any(axis=1)
-            hit = np.flatnonzero(ok)
-            if hit.size:
-                cand, fresh = block[hit[0]], True
-            else:  # pair budget exhausted; accept a short cycle
-                cand = _least_loaded(check_deg, dv, rng)
-        if fresh:
-            used[cand[iu], cand[ju]] = True
-        check_deg[cand] += 1
+        if dead:  # the first try's tie draw and the block, then the fallback
+            rng.random(m)
+            rng.integers(0, m, (_TRIES - 1, dv))
+            cand = _least_loaded(check_deg, dv, rng)
+        else:
+            cand = _least_loaded(check_deg, dv, rng)
+            fresh = not any(used[a * m + b] for a, b in combinations(cand, 2))
+            if not fresh:
+                block = rng.integers(0, m, (_TRIES - 1, dv))
+                stale = used_flat[block @ pair_of].any(axis=1)
+                row = int(stale.argmin())
+                if not stale[row]:
+                    cand, fresh = block[row].tolist(), True
+                else:  # pair budget exhausted; accept a short cycle
+                    cand = _least_loaded(check_deg, dv, rng)
+            if fresh:
+                for a, b in combinations(cand, 2):
+                    if triangles is not None:  # the triangles on edge ab: common unused neighbours
+                        triangles -= m - int(np.count_nonzero(used_rows[a] | used_rows[b]))
+                    used[a * m + b] = used[b * m + a] = 1
+                unused -= dv * (dv - 1) // 2
+                if dv > 2 and triangles is None and 4 * unused <= m * m:
+                    adj = (~used_rows).astype(np.float64)
+                    triangles = int(round(float(np.sum((adj @ adj) * adj)) / 6.0))
+                dead = unused == 0 if dv == 2 else triangles == 0
+        for c in cand:
+            check_deg[c] += 1
         picks[v] = cand
     flat = picks.ravel()
     var_of_edge = np.argsort(flat, kind="stable") // dv  # variable-major, so ascending per check

@@ -10,6 +10,7 @@ import threading
 import time
 import warnings
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,6 +31,10 @@ from afc.harness import (
     run_throughput_sweep,
 )
 from afc.rng import substream
+
+
+_BLAS = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+_BLAS_BUILD = f"{_BLAS.get('name')} {_BLAS.get('version')}"
 
 
 def tiny_cfg(**kw):
@@ -144,6 +149,22 @@ class TestThroughputSweep:
         with pytest.raises(ValueError, match="snr_db -400.0 has zero capacity"):
             run_throughput_sweep(tiny_cfg(rates=None, snr_db=(15.0, -400.0)))
 
+    @pytest.mark.parametrize("errors,stop", [((0, 4, 0, 6, 1, 9), 5), ((0, 4, 0, 6, 0, 0), 10)])
+    def test_probe_stops_at_the_first_frame_past_its_bound(self, errors, stop):
+        # 1e-2 over 10 trials of 100 bits allows 10 bit errors: the probe stops
+        # at the frame that brings the 11th, and runs on while it holds 10
+        cfg = tiny_cfg(trials=10)
+        served = []
+
+        def frames(setup, n_symbols, snr_db, point_tag, max_trials):
+            for trial in range(max_trials):
+                served.append(trial)
+                yield (errors[trial] if trial < len(errors) else 0), 3
+
+        pt = harness._measure_point(cfg, SimpleNamespace(k_msg=100), 400, 15.0, 0, frames, abort_ber=1e-2)
+        assert served == list(range(stop)) and pt.trials == stop
+        assert (pt.ber > 1e-2) == (stop < cfg.trials)
+
     def test_outer_code_checked_whatever_the_variants(self):
         cfg = ExperimentConfig(k_msg=100, precode_rate=0.999, variants=("uniform",))
         with pytest.raises(ValueError, match="outer code's 0 checks"):
@@ -217,9 +238,39 @@ class TestParallelFrames:
             seen[workers] = list(probes)
         assert len(pools) == 1
         # some bisection probe stopped on abort_ber before its 20 trials
-        assert any(is_probe and 8 <= trials < cfg.trials for is_probe, _, trials, _ in seen[1])
+        assert any(is_probe and 1 <= trials < cfg.trials for is_probe, _, trials, _ in seen[1])
         assert seen[1] == seen[2]
         assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+
+    @pytest.mark.skipif(
+        np.__version__ != "2.4.6" or not _BLAS_BUILD.startswith("scipy-openblas 0.3.31."),
+        reason=f"C9's CSV digests were taken on numpy 2.4.6 with scipy-openblas 0.3.31; this is numpy "
+        f"{np.__version__} with {_BLAS_BUILD}, whose summation order may differ",
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_c9_csv_bytes_pinned(self, tmp_path, monkeypatch, workers):
+        """C9's BER and throughput CSVs, byte for byte at 1 and 2 frame workers.
+        The bytes depend on the BLAS build's summation order, so another build
+        skips this test rather than fail it."""
+        self.use_workers(monkeypatch, workers)
+        cfg = ExperimentConfig(
+            k_msg=200, snr_db=(15.0,), rates=(2.0, 3.0), trials=20, seed=99,
+            variants=("min-degree", "min-degree+precode"), out=str(tmp_path / "c9.csv"),
+        )
+        run_ber_sweep(cfg)
+        thr = run_throughput_sweep(
+            ExperimentConfig(k_msg=95, snr_db=(15.0,), trials=3, seed=5, max_trial_factor=1), target_ber=1e-2
+        )
+        emit_csv(thr, tmp_path / "c9_throughput.csv")
+        digests = {
+            name: hashlib.sha256((tmp_path / f"c9_{name}.csv").read_bytes()).hexdigest()
+            for name in ("min-degree", "min-degree-precode", "throughput")
+        }
+        assert digests == {
+            "min-degree": "0242cb457ecf92eda55a22f8d566c5a4aefb1415959851aaae47c98d2bdcdd6b",
+            "min-degree-precode": "353f1cfab120712b078f477ecc922060664571173c1b48393bb9d1d8b5d591b1",
+            "throughput": "c77971f08dc06c2a5a33e1fd7b18bd3b4eac7816f4b3df70c168e536538a1907",
+        }
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_trial_factor_below_one_runs_the_base_trials(self, workers, monkeypatch):

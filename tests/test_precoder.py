@@ -1,4 +1,6 @@
+import hashlib
 import tempfile
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +110,49 @@ def _per_bit_reference(n: int, check_rows: list):
     return n - m, permuted, enc
 
 
+def _greedy_rows_reference(n: int, m: int, dv: int, rng: np.random.Generator, fresh_picks=None) -> list:
+    """The earlier construction loop, kept as reference for ``_greedy_rows``:
+    the same tries, draws and rows, tested with array operations on every
+    variable. Appends (variable, checks) of each fresh pick to ``fresh_picks``."""
+
+    def least_loaded():
+        return np.sort(np.argpartition(check_deg + rng.random(m), dv - 1)[:dv])
+
+    check_deg = np.zeros(m, dtype=np.int64)
+    used = np.zeros((m, m), dtype=bool)
+    iu, ju = np.triu_indices(dv, 1)
+    picks = np.empty((n, dv), dtype=np.int64)
+    for v in range(n):
+        cand = least_loaded()
+        fresh = not used[cand[iu], cand[ju]].any()
+        if not fresh:
+            block = np.sort(rng.integers(0, m, (precoder._TRIES - 1, dv)), axis=1)
+            ok = (np.diff(block, axis=1) > 0).all(axis=1) & ~used[block[:, iu], block[:, ju]].any(axis=1)
+            hit = np.flatnonzero(ok)
+            if hit.size:
+                cand, fresh = block[hit[0]], True
+            else:
+                cand = least_loaded()
+        if fresh:
+            used[cand[iu], cand[ju]] = True
+            if fresh_picks is not None:
+                fresh_picks.append((v, cand.tolist()))
+        check_deg[cand] += 1
+        picks[v] = cand
+    flat = picks.ravel()
+    var_of_edge = np.argsort(flat, kind="stable") // dv
+    return np.split(var_of_edge, np.cumsum(np.bincount(flat, minlength=m))[:-1])
+
+
+def _assert_same_rows_and_draws(n: int, m: int, dv: int, path: tuple) -> None:
+    ours, theirs = substream(*path), substream(*path)
+    rows = _greedy_rows(n, m, dv, ours)
+    expected = _greedy_rows_reference(n, m, dv, theirs)
+    assert len(rows) == len(expected) == m
+    assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(rows, expected))
+    assert ours.random() == theirs.random()  # the generator is left in the same state
+
+
 def _assert_matches_reference(code: LdpcCode, ref) -> None:
     k, check_rows, enc = ref
     assert code.k_msg == k
@@ -179,6 +224,65 @@ class TestGenerate:
         assert np.all(var_deg == dv)  # rows hold a variable at most once, so its dv checks are distinct
         again = _greedy_rows(n, m, dv, substream(seed, GRAPH))
         assert all(np.array_equal(a, b) for a, b in zip(rows, again))
+
+    @pytest.mark.parametrize(
+        "n,rate,dv,path,digest,next_draw",
+        [
+            (200, 0.95, 3, (30, 1), "d27273e87c7249fe", 0.820687047761852),
+            (1000, 0.95, 3, (40, 1), "1a45faea4894aea2", 0.4423695196653755),
+            (211, 200 / 211, 3, (99, 1, 0xC0DE), "de50dbd1bd0ee716", 0.5545401595790512),
+            (400, 0.9, 5, (7, 2), "95c2239e527e4fc2", 0.07877131114137759),
+            (10000, 0.95, 3, (40, 9), "18e900f717d6012a", 0.9260763731818932),
+        ],
+    )
+    def test_golden_codes(self, n, rate, dv, path, digest, next_draw):
+        """The codes (and the generator state after them) of the earlier
+        construction loop, pinned byte for byte."""
+        rng = substream(*path)
+        code = ldpc_generate(n, rate, dv, rng)
+        h = hashlib.sha256(
+            code.check_ptr.astype("<i8").tobytes() + code.edge_var.astype("<i8").tobytes() + code.enc_packed.tobytes()
+        )
+        assert h.hexdigest()[:16] == digest
+        assert rng.random() == next_draw
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_greedy_rows_match_reference_loop(self, data):
+        """Same rows and same next draw as the earlier loop: small m, where
+        the pair budget runs out and the shortcut fires, and sizes where it
+        never does."""
+        dv = data.draw(st.sampled_from((3, 5, 2, 4, 1)), label="dv")
+        m = data.draw(st.one_of(st.integers(dv, 16), st.integers(dv, 60)), label="m")
+        n = data.draw(st.integers(1, 400), label="n")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        _assert_same_rows_and_draws(n, m, dv, (seed, GRAPH))
+
+    @pytest.mark.parametrize("n,m,dv", [(2000, 100, 3), (600, 120, 5), (3000, 150, 3), (300, 6, 2), (400, 40, 4)])
+    def test_greedy_rows_match_reference_loop_at_size(self, n, m, dv):
+        _assert_same_rows_and_draws(n, m, dv, (n, m, dv))
+
+    def test_pair_tests_stop_once_no_try_can_be_fresh(self, monkeypatch):
+        """At m = 10 the unused check pairs lose their last triangle early;
+        from the next variable on, no try is tested any more."""
+        n, m, dv = 200, 10, 3
+        fresh_picks = []
+        expected = _greedy_rows_reference(n, m, dv, substream(30, 1), fresh_picks)
+        used = set()
+        for last_fresh, cand in fresh_picks:
+            used.update(combinations(cand, 2))
+            if all(not {(a, b), (a, c), (b, c)}.isdisjoint(used) for a, b, c in combinations(range(m), 3)):
+                break  # every triple of checks holds a used pair: the unused pairs have no triangle
+        else:
+            pytest.fail("the unused pairs kept a triangle")
+        assert fresh_picks[-1] == (last_fresh, cand) and last_fresh < n // 4
+
+        calls = []
+        monkeypatch.setattr(precoder, "combinations", lambda *a: calls.append(a) or combinations(*a))
+        rows = _greedy_rows(n, m, dv, substream(30, 1))
+        assert all(np.array_equal(a, b) for a, b in zip(rows, expected))
+        # one pair test per variable up to the last fresh pick, one marking pass per fresh pick
+        assert len(calls) == last_fresh + 1 + len(fresh_picks)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.data())
