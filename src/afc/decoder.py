@@ -27,15 +27,16 @@ threads as its affinity CPUs divided by the BLAS thread setting
 BLAS already spreads its calls over the cores and a decode runs serially,
 starting no thread. The frame workers of a sweep each
 decode on one thread, since the sweep already fills the cores, and updates
-smaller than two blocks run serially everywhere. Every task makes the same
-BLAS calls on the same shapes wherever it runs, so results do not depend on
-the thread count.
+smaller than two blocks run serially everywhere. A task keeps no state of
+its own between runs (each block allocates its own buffer), so its output
+depends only on its arguments; and every task makes the same BLAS calls on
+the same shapes wherever it runs, so results do not depend on the thread
+count.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import typing
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -69,8 +70,6 @@ _ML_MAX_VARS = 20
 # (512 KB, 256 rows at degree 8) stays in a core's L2 cache across the five
 # passes over it, where a whole row group streams from memory on each pass.
 _BLOCK_CFGS = 1 << 16
-# a block's buffer: at most step + 1 rows of 2^d configurations
-_SCRATCH = _BLOCK_CFGS + (1 << MAX_ENUM_DEGREE)
 # Under the CPU rule, a check update of fewer fountain-row configurations
 # runs serially: waking a pool thread and sharing the interpreter lock then
 # cost more than the second core gives back. On 2 vCPUs, precoded k 200
@@ -176,18 +175,6 @@ def _use_threads(count: int | None) -> None:
     the ``_default_workers`` rule). A sweep's frame workers decode on one."""
     _THREADS.shutdown()
     _THREADS.count = count
-
-
-_local = threading.local()
-
-
-def _scratch(rows: int, cols: int) -> np.ndarray:
-    """A (rows, cols) float64 buffer owned by the calling thread, reused by
-    each block it runs; rows * cols <= _SCRATCH."""
-    buf = getattr(_local, "buf", None)
-    if buf is None:
-        buf = _local.buf = np.empty(_SCRATCH)
-    return buf[: rows * cols].reshape(rows, cols)
 
 
 @dataclass(frozen=True)
@@ -339,7 +326,7 @@ class _RowGroup:
 
     def _block(self, half, pos, neg, row_max: bool, s: int, e: int) -> None:
         """The two sums of rows s:e, written to pos[s:e] and neg[s:e]."""
-        base = np.matmul(half[s:e], self.signs_t, out=_scratch(e - s, self.signs_t.shape[1]))
+        base = half[s:e] @ self.signs_t
         base += self.resid[s:e]
         if row_max:
             base -= base.max(axis=1, keepdims=True)

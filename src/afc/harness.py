@@ -98,13 +98,19 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be >= {low}")
         if not 0.0 < self.precode_rate < 1.0:
             raise ValueError("precode_rate must lie in (0, 1)")
+        if self.rates is not None and not self.rates:
+            raise ValueError("rate grid must not be empty")
         if self.rates is not None and any(b <= a for a, b in zip(self.rates, self.rates[1:])):
             raise ValueError("rate grid must be strictly increasing")
         if self.rates and not all(0.0 < r < math.inf for r in self.rates):
             raise ValueError("rates must be finite and > 0 bits per channel use")
+        if not self.variants or len(set(self.variants)) < len(self.variants):
+            raise ValueError(f"variants must name at least one variant, and each only once: {self.variants}")
         for v in self.variants:
             if v not in VARIANTS:
                 raise ValueError(f"unknown variant {v!r}")
+        if not self.snr_db:
+            raise ValueError("snr_db must hold at least one value")
         if not all(math.isfinite(s) for s in self.snr_db):
             raise ValueError("snr_db entries must be finite")
         for s in self.snr_db:
@@ -255,11 +261,12 @@ def _run_frame(
     return errors, result.iterations
 
 
-# what a frame calls by this module's names; a caller that rebinds one (to
-# trace or count the calls, say) sees only the calls made in its own process
+# a frame and what it calls by this module's names; a caller that rebinds one
+# (to trace or count the calls, say) sees only the calls made in its own process
 _FRAME_CALLS = {
     name: globals()[name]
-    for name in ("build_graph", "encode", "transmit", "bp_decode", "bp_decode_joint", "ldpc_encode", "ldpc_decode")
+    for name in ("_run_frame", "build_graph", "encode", "transmit", "bp_decode", "bp_decode_joint",
+                 "ldpc_encode", "ldpc_decode")
 }
 
 # set only in pool workers, by the pool initializer: the config and variant
@@ -439,8 +446,8 @@ def run_ber_sweep(cfg: ExperimentConfig) -> list[SweepResult]:
     return results
 
 
-def run_throughput_sweep(cfg: ExperimentConfig, target_ber: float | None = None) -> SweepResult:
-    """Max rate with measured BER <= target at each SNR (bisection over N).
+def run_throughput_sweep(cfg: ExperimentConfig) -> SweepResult:
+    """Max rate with measured BER <= cfg.target_ber at each SNR (bisection over N).
 
     Always uses the min-degree + precode variant (the full system). The
     bisection brackets [N_feasible, N_infeasible) and narrows to 2% of N;
@@ -448,9 +455,6 @@ def run_throughput_sweep(cfg: ExperimentConfig, target_ber: float | None = None)
     converse). Points that stay above target within the N budget are
     flagged unreached. Frames run on workers as in ``run_ber_sweep``.
     """
-    target = cfg.target_ber if target_ber is None else target_ber
-    if not 0.0 < target < 1.0:
-        raise ValueError("target BER must lie in (0, 1)")
     for snr_db in cfg.snr_db:
         # the bisection starts from k_msg / capacity
         if capacity_bits(snr_db, cfg.per_complex_noise) == 0.0:
@@ -460,7 +464,7 @@ def run_throughput_sweep(cfg: ExperimentConfig, target_ber: float | None = None)
     res = SweepResult(variant="throughput")
     with _frame_source(cfg, [setup]) as frames:
         for si, snr_db in enumerate(cfg.snr_db):
-            res.points.append(_max_rate_point(cfg, setup, snr_db, 0x7A0000 + si, target, frames))
+            res.points.append(_max_rate_point(cfg, setup, snr_db, 0x7A0000 + si, frames))
     if cfg.out:
         emit_csv(res, cfg.out, gnuplot=cfg.gnuplot)
     return res
@@ -471,10 +475,10 @@ def _max_rate_point(
     setup: _VariantSetup,
     snr_db: float,
     point_tag: int,
-    target: float,
     frames: typing.Callable[..., typing.Iterator[tuple[int, int]]],
 ) -> SweepPoint:
     """The throughput sweep's reported point at one SNR."""
+    target = cfg.target_ber
 
     def measure(n_symbols: int, abort_ber: float | None = None) -> SweepPoint:
         return _measure_point(cfg, setup, n_symbols, snr_db, point_tag, frames, abort_ber)

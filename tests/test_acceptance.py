@@ -198,9 +198,9 @@ def test_c7_throughput_vs_snr():
     cfg = ExperimentConfig(
         k_msg=9500, snr_db=(5.0, 15.0, 30.0), trials=60, seed=2026,
         per_complex_noise=True, max_iters=200, min_error_events=50,
-        max_trial_factor=3,
+        max_trial_factor=3, target_ber=1e-4,
     )
-    res = run_throughput_sweep(cfg, target_ber=1e-4)
+    res = run_throughput_sweep(cfg)
     by_snr = {pt.snr_db: pt for pt in res.points}
     r5 = by_snr[5.0].rate_bits_per_cu
     r15 = by_snr[15.0].rate_bits_per_cu
@@ -297,12 +297,10 @@ def test_c9_determinism(tmp_path):
     same = all((tmp_path / a).read_bytes() == (tmp_path / b).read_bytes() for a, b in pairs)
 
     thr1 = run_throughput_sweep(
-        ExperimentConfig(k_msg=95, snr_db=(15.0,), trials=3, seed=5, max_trial_factor=1),
-        target_ber=1e-2,
+        ExperimentConfig(k_msg=95, snr_db=(15.0,), trials=3, seed=5, max_trial_factor=1, target_ber=1e-2),
     )
     thr2 = run_throughput_sweep(
-        ExperimentConfig(k_msg=95, snr_db=(15.0,), trials=3, seed=5, max_trial_factor=1),
-        target_ber=1e-2,
+        ExperimentConfig(k_msg=95, snr_db=(15.0,), trials=3, seed=5, max_trial_factor=1, target_ber=1e-2),
     )
     emit_csv(thr1, tmp_path / "t1.csv")
     emit_csv(thr2, tmp_path / "t2.csv")

@@ -35,6 +35,13 @@ from afc.rng import substream
 
 _BLAS = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
 _BLAS_BUILD = f"{_BLAS.get('name')} {_BLAS.get('version')}"
+# sweep CSV bytes depend on the BLAS build's summation order: the digests
+# pinned below were taken on this build only
+_PINNED_BUILD = pytest.mark.skipif(
+    np.__version__ != "2.4.6" or not _BLAS_BUILD.startswith("scipy-openblas 0.3.31."),
+    reason=f"the CSV digests were taken on numpy 2.4.6 with scipy-openblas 0.3.31; this is numpy "
+    f"{np.__version__} with {_BLAS_BUILD}, whose summation order may differ",
+)
 
 
 def tiny_cfg(**kw):
@@ -127,15 +134,15 @@ class TestBerSweep:
 
 class TestThroughputSweep:
     def test_noiseless_projects_high_rate(self):
-        cfg = tiny_cfg(rates=None, noiseless=True, trials=3, k_msg=95, max_trial_factor=1)
-        res = run_throughput_sweep(cfg, target_ber=1e-2)
+        cfg = tiny_cfg(rates=None, noiseless=True, trials=3, k_msg=95, max_trial_factor=1, target_ber=1e-2)
+        res = run_throughput_sweep(cfg)
         (pt,) = res.points
         assert pt.reached
         assert pt.rate_bits_per_cu > 0.5
 
     def test_rate_below_capacity(self):
-        cfg = tiny_cfg(rates=None, trials=10, k_msg=190, snr_db=(15.0,))
-        res = run_throughput_sweep(cfg, target_ber=1e-2)
+        cfg = tiny_cfg(rates=None, trials=10, k_msg=190, snr_db=(15.0,), target_ber=1e-2)
+        res = run_throughput_sweep(cfg)
         (pt,) = res.points
         from afc.channel import capacity_bits
 
@@ -228,12 +235,12 @@ class TestParallelFrames:
             return pt
 
         monkeypatch.setattr(harness, "_measure_point", spy)
-        cfg = ExperimentConfig(k_msg=95, snr_db=(10.0, 15.0), trials=20, seed=5, max_trial_factor=2)
+        cfg = ExperimentConfig(k_msg=95, snr_db=(10.0, 15.0), trials=20, seed=5, max_trial_factor=2, target_ber=1e-3)
         seen = {}
         for workers in (1, 2):
             self.use_workers(monkeypatch, workers)
             probes.clear()
-            res = run_throughput_sweep(cfg, target_ber=1e-3)
+            res = run_throughput_sweep(cfg)
             emit_csv(res, tmp_path / f"w{workers}.csv")
             seen[workers] = list(probes)
         assert len(pools) == 1
@@ -242,11 +249,7 @@ class TestParallelFrames:
         assert seen[1] == seen[2]
         assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
 
-    @pytest.mark.skipif(
-        np.__version__ != "2.4.6" or not _BLAS_BUILD.startswith("scipy-openblas 0.3.31."),
-        reason=f"C9's CSV digests were taken on numpy 2.4.6 with scipy-openblas 0.3.31; this is numpy "
-        f"{np.__version__} with {_BLAS_BUILD}, whose summation order may differ",
-    )
+    @_PINNED_BUILD
     @pytest.mark.parametrize("workers", [1, 2])
     def test_c9_csv_bytes_pinned(self, tmp_path, monkeypatch, workers):
         """C9's BER and throughput CSVs, byte for byte at 1 and 2 frame workers.
@@ -259,7 +262,7 @@ class TestParallelFrames:
         )
         run_ber_sweep(cfg)
         thr = run_throughput_sweep(
-            ExperimentConfig(k_msg=95, snr_db=(15.0,), trials=3, seed=5, max_trial_factor=1), target_ber=1e-2
+            ExperimentConfig(k_msg=95, snr_db=(15.0,), trials=3, seed=5, max_trial_factor=1, target_ber=1e-2)
         )
         emit_csv(thr, tmp_path / "c9_throughput.csv")
         digests = {
@@ -270,6 +273,34 @@ class TestParallelFrames:
             "min-degree": "0242cb457ecf92eda55a22f8d566c5a4aefb1415959851aaae47c98d2bdcdd6b",
             "min-degree-precode": "353f1cfab120712b078f477ecc922060664571173c1b48393bb9d1d8b5d591b1",
             "throughput": "c77971f08dc06c2a5a33e1fd7b18bd3b4eac7816f4b3df70c168e536538a1907",
+        }
+
+    @_PINNED_BUILD
+    @pytest.mark.parametrize("workers, threads", [(1, 1), (1, 2), (2, 1)])
+    def test_c6_shaped_csv_bytes_pinned(self, tmp_path, monkeypatch, workers, threads):
+        """A reduced C6 sweep, all three variants at k_msg 1000 and rates 2.5
+        and 3.0, byte for byte on 1 frame worker with 1 and 2 decode threads
+        and on 2 frame workers. Its check updates of 668 and 800 rows run in 3
+        blocks each, so on 2 decode threads they really run threaded."""
+        self.use_workers(monkeypatch, workers)
+        cfg = ExperimentConfig(
+            k_msg=1000, snr_db=(15.0,), rates=(2.5, 3.0), trials=8, seed=11, max_trial_factor=1,
+            out=str(tmp_path / "c6.csv"),
+        )
+        decoder._use_threads(threads)
+        try:
+            run_ber_sweep(cfg)
+            assert (decoder._THREADS.pool is not None) == (threads > 1)
+        finally:
+            decoder._use_threads(None)
+        digests = {
+            name: hashlib.sha256((tmp_path / f"c6_{name}.csv").read_bytes()).hexdigest()
+            for name in ("uniform", "min-degree", "min-degree-precode")
+        }
+        assert digests == {
+            "uniform": "fa7a6cea8acb69a5bc07884f0fa9f130ffba6d7629da0f59ba2d7d670f1b5cf5",
+            "min-degree": "66fde488e2dc44ffe397a8c891f3692e19c9aa51fc889d2ff4b985a2ef4bf6cb",
+            "min-degree-precode": "ae666203c9e0ff593d1a1af0db250d81743f4b6d419a36d5f02447f9f596662a",
         }
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -299,18 +330,21 @@ class TestParallelFrames:
         assert cfg.trials < pool.submitted <= cfg.trials + 2 * pool.workers
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_frame_error_surfaces_and_leaves_no_worker(self, workers, monkeypatch):
-        run_frame = harness._run_frame
+    def test_frame_error_surfaces_and_leaves_no_worker(self, workers, monkeypatch, pools):
+        # the error is raised inside the frame, by its first draw: a rebound
+        # frame call would keep the frames out of the pool
+        substream = harness.rngmod.substream
 
-        def failing(cfg, setup, n_symbols, snr_db, point_tag, trial):
-            if trial == 5:
-                raise RuntimeError(f"frame {trial} failed")
-            return run_frame(cfg, setup, n_symbols, snr_db, point_tag, trial)
+        def failing(seed, *path):
+            if path[-1] == 5:  # the trial
+                raise RuntimeError(f"frame {path[-1]} failed")
+            return substream(seed, *path)
 
-        monkeypatch.setattr(harness, "_run_frame", failing)
+        monkeypatch.setattr(harness.rngmod, "substream", failing)
         self.use_workers(monkeypatch, workers)
         with pytest.raises(RuntimeError, match="frame 5 failed"):
             run_ber_sweep(tiny_cfg(trials=10))
+        assert len(pools) == workers - 1
         assert multiprocessing.active_children() == []
 
     def test_single_frame_points_open_no_pool(self, monkeypatch, pools):
@@ -319,16 +353,17 @@ class TestParallelFrames:
         assert [pt.trials for pt in res.points] == [1, 1]
         assert pools == []
 
-    def test_rebound_frame_call_keeps_frames_in_the_sweep_process(self, monkeypatch, pools):
-        # a caller tracing or counting a layer call must see every frame's call
+    @pytest.mark.parametrize("name", ["bp_decode", "_run_frame"])
+    def test_rebound_frame_call_keeps_frames_in_the_sweep_process(self, monkeypatch, pools, name):
+        # a caller tracing or counting the frames or a layer call must see every frame's call
         calls = []
-        decode = harness.bp_decode
+        call = getattr(harness, name)
 
         def counted(*args):
-            calls.append(args[0].m)
-            return decode(*args)
+            calls.append(os.getpid())
+            return call(*args)
 
-        monkeypatch.setattr(harness, "bp_decode", counted)
+        monkeypatch.setattr(harness, name, counted)
         self.use_workers(monkeypatch, 2)
         (res,) = run_ber_sweep(tiny_cfg(trials=4))
         assert pools == []
@@ -371,15 +406,15 @@ class TestParallelFrames:
                 harness._run_frame(cfg, setup, 600, 15.0, 0, 1)
                 os._exit(0 if decoder._THREADS.pool is not None else 3)
             assert os.waitpid(child, 0)[1] == 0, "the forked decode failed"
-            run_frame = harness._run_frame
+            pool_frame = harness._pool_frame
 
-            def recording(*args):
-                out = run_frame(*args)
+            def recording(*args):  # the task a pool worker runs for each frame
+                out = pool_frame(*args)
                 with open(os.path.join({str(tmp_path)!r}, f"{{os.getpid()}}.worker"), "a") as fh:
                     fh.write(f"{{decoder._THREADS.count}} {{decoder._THREADS.pool is None}}\\n")
                 return out
 
-            harness._run_frame = recording
+            harness._pool_frame = recording
             (res,) = harness.run_ber_sweep(cfg)
             print(res.points[0].trials, flush=True)
         """))
@@ -407,7 +442,7 @@ class TestParallelFrames:
                 open(os.path.join({str(tmp_path)!r}, f"{{os.getpid()}}.pid"), "w").close()
                 time.sleep(600)
 
-            harness._run_frame = stuck
+            harness._pool_frame = stuck  # the task a pool worker runs for each frame
             harness._default_workers = lambda: 2
             print("sweeping", flush=True)
             harness.run_ber_sweep(harness.ExperimentConfig(k_msg=100, rates=(1.0,), trials=4, variants=("uniform",)))
@@ -550,6 +585,11 @@ class TestConfig:
             {"max_iters": 0},
             {"rates": (0.0, 1.0)},
             {"rates": (-1.0, 1.0)},
+            {"rates": ()},
+            {"snr_db": ()},
+            {"variants": ()},
+            {"variants": ("uniform", "uniform")},  # both copies would write one CSV
+            {"variants": ("min-degree", "uniform", "min-degree")},
             {"ldpc_var_degree": 0},
             {"k_msg": 950, "ldpc_var_degree": 60},  # outer code has m = 50 checks
             {"k_msg": 95, "ldpc_var_degree": 5},  # m = 5: every bit would cover every check
@@ -695,6 +735,7 @@ class TestCli:
              "n_budget_factor must be >= 1"),
             (["ber-sweep", "--k-msg", "50", "--snr-db", "10", "--rates", "1.0", "--trials", "1",
               "--variants", "min-degree+precode"], "needs more than the outer code's 3 checks"),
+            (["ber-sweep", "--rates", "1.0", "--variants", "uniform,uniform"], "each only once"),
         ],
         ids=["ber-sweep", "weights-check", "outer-code", "throughput-sweep", "shaping-delta", "shaping-nan",
              "weights-search", "unique-solution-l-max-1", "unique-solution-l-max-5", "unique-solution-weights",
@@ -703,7 +744,7 @@ class TestCli:
              "ber-sweep-snr-nan", "pairwise-snr-nan", "pairwise-mc-draws", "ber-sweep-trials-not-int",
              "ber-sweep-rate-nan", "unique-solution-l-max-0", "throughput-sweep-snr-overflow",
              "ber-sweep-snr-overflow", "weights-search-negative-budget", "throughput-sweep-n-budget-factor-0",
-             "ber-sweep-outer-code-of-rank-one"],
+             "ber-sweep-outer-code-of-rank-one", "ber-sweep-repeated-variant"],
     )
     def test_refused_configuration_is_a_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
