@@ -30,12 +30,12 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import special
 
 from .core import (
     FactorGraph,
     WeightAssignment,
     WeightSet,
+    _DRAW_BLOCK,
     _assign_weights,
     _draw_members,
     reciprocal_weights,
@@ -88,6 +88,8 @@ class WeightSearchError(RuntimeError):
 
 def q_function(x):
     """Upper-tail probability of the standard normal, Q(x)."""
+    from scipy import special  # loaded on first use: importing the CLI does not load scipy
+
     arr = np.asarray(x, dtype=np.float64)
     out = 0.5 * special.erfc(arr / math.sqrt(2.0))
     if arr.ndim == 0:
@@ -432,13 +434,22 @@ def _sample_symbol_sums(
         return signs @ ws.as_array()
     if assignment is WeightAssignment.WITH_REPLACEMENT:
         # the encoder's member draw, then the same sign draw as below: sign
-        # bit b and member i pick the signed value at b * f + i, (2b - 1) * v_i
+        # bit b and member i pick the signed value at b * f + i, (2b - 1) * v_i.
+        # The signs are drawn a block of rows at a time, after every member:
+        # each draw of range 2 takes one 32-bit word and PCG64 keeps the spare
+        # half-word between calls, so the blocks give the bits of one draw,
+        # and each row is still one length-d sum
         members = _draw_members(ws.probs, count * d, rng)
-        picks = rng.integers(0, 2, size=count * d)
-        picks *= ws.f
-        picks += members
         signed = np.concatenate((-ws.as_array(), ws.as_array()))
-        return signed.take(picks).reshape(count, d).sum(axis=1)
+        out = np.empty(count)
+        step = max(1, _DRAW_BLOCK // d)
+        for s in range(0, count, step):
+            e = min(s + step, count)
+            picks = rng.integers(0, 2, size=(e - s) * d)
+            picks *= ws.f
+            picks += members[s * d : e * d]
+            out[s:e] = signed.take(picks).reshape(e - s, d).sum(axis=1)
+        return out
     if assignment is WeightAssignment.WITHOUT_REPLACEMENT and not ws.uniform:
         # the encoder draws these row by row in Python, too slow for millions of rows
         raise ValueError("non-uniform draw without replacement is not supported here")

@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 _PROB_TOL = 1e-12
+# draws per streamed block: 512 KB of float64 uniforms, which fits in one
+# core's L2 cache
+_DRAW_BLOCK = 2**16
 
 
 class InvalidConfigurationError(ValueError):
@@ -329,16 +332,21 @@ def _draw_members(probs: Sequence[float], size: int, rng: np.random.Generator) -
     The same indices as ``rng.choice(len(probs), size, p=probs)``, leaving the
     generator in the same state: the cdf is built as ``choice`` builds it and
     each uniform's index counts the cdf entries at or below it, which is
-    ``searchsorted(side='right')`` without the search.
+    ``searchsorted(side='right')`` without the search. The uniforms are drawn
+    ``_DRAW_BLOCK`` at a time, which gives the same doubles as one draw of
+    ``size``, so only the indices span the whole draw.
     """
     cdf = np.cumsum(np.asarray(probs, dtype=np.float64))
     cdf /= cdf[-1]
-    u = rng.random(size)
+    inner = cdf[:-1].tolist()  # the last entry is 1.0, above every uniform
     idx = np.zeros(size, dtype=np.min_scalar_type(len(cdf) - 1))
-    below = np.empty(size, dtype=bool)
-    for c in cdf[:-1].tolist():  # the last entry is 1.0, above every uniform
-        np.greater_equal(u, c, out=below)
-        idx += below
+    below = np.empty(min(size, _DRAW_BLOCK), dtype=bool)
+    for s in range(0, size, _DRAW_BLOCK):
+        u = rng.random(min(_DRAW_BLOCK, size - s))
+        block, hit = idx[s : s + len(u)], below[: len(u)]
+        for c in inner:
+            np.greater_equal(u, c, out=hit)
+            block += hit
     return idx
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import product
@@ -256,6 +257,22 @@ def _choice_symbol_sums(ws, d, count, assignment, rng):
     rows = rng.choice(ws.as_array(), size=count * d, p=ws.probs).reshape(count, d)
     signs = rng.integers(0, 2, size=(count, d)).astype(np.float64) * 2.0 - 1.0
     return (rows * signs).sum(axis=1)
+
+
+def _whole_array_symbol_sums(ws, d, count, rng):
+    """The with-replacement sampler as one whole-array draw: every member of
+    the chunk by one cdf pass, then every sign bit by one call."""
+    cdf = np.cumsum(np.asarray(ws.probs, dtype=np.float64))
+    cdf /= cdf[-1]
+    u = rng.random(count * d)
+    members = np.zeros(count * d, dtype=np.min_scalar_type(len(cdf) - 1))
+    for c in cdf[:-1].tolist():
+        members += u >= c
+    picks = rng.integers(0, 2, size=count * d)
+    picks *= ws.f
+    picks += members
+    signed = np.concatenate((-ws.as_array(), ws.as_array()))
+    return signed.take(picks).reshape(count, d).sum(axis=1)
 
 
 def _product_scan(values, max_nonzero):
@@ -664,6 +681,9 @@ class TestGaussianFit:
             (RECIP, 1, 200_000),
             (RECIP, 5, 200_000),
             (RECIP, 8, 1_000_001),  # past the 1M-sample chunk edge
+            # count * d crosses the 2^16-draw block edges, and d does not divide a block
+            (RECIP, 3, 200_001),
+            (RECIP, 7, 70_001),
             (WeightSet((1.0, 0.5, 0.25, 0.125), (0.4, 0.3, 0.2, 0.1)), 5, 200_000),
         ],
     )
@@ -675,6 +695,42 @@ class TestGaussianFit:
             expected = gaussian_fit_check(ws, d, 0.2, 1e-4, n_samples, ref_rng)
         assert report == expected
         assert rng.random() == ref_rng.random()
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_streamed_sums_equal_whole_array_draw(self, data):
+        # the sampler draws members and signs in 2^16-draw blocks; the sums
+        # and the generator's end state must be those of one whole-array draw
+        f = data.draw(st.integers(1, 8))
+        if data.draw(st.booleans()):
+            probs = (1.0 / f,) * f
+        else:
+            mass = data.draw(st.lists(st.integers(0, 9), min_size=f, max_size=f).filter(any))
+            probs = tuple(m / sum(mass) for m in mass)
+        ws = WeightSet(tuple(RECIP.values[:f]), probs)
+        d = data.draw(st.integers(1, 12))
+        rows = 2**16 // d  # rows per sign block
+        count = data.draw(
+            st.one_of(st.integers(1, 3 * rows + d), st.sampled_from([rows - 1, rows, rows + 1, 2 * rows + 1, 3 * rows]))
+        )
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        sums = analysis._sample_symbol_sums(ws, d, count, WeightAssignment.WITH_REPLACEMENT, rng)
+        assert np.array_equal(sums, _whole_array_symbol_sums(ws, d, count, ref))
+        assert np.array_equal(rng.integers(0, 2, 3), ref.integers(0, 2, 3))
+        assert rng.random() == ref.random()
+
+    def test_certification_memory_stays_small(self):
+        # the streamed draw holds one byte per member plus a few blocks;
+        # whole-array draws of a 500k-sample chunk took about 69 MB
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            gaussian_fit_check(RECIP, 8, 0.2, 1e-4, 500_000, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     @pytest.mark.parametrize(
         "delta, eps, q_floor, message",

@@ -465,12 +465,15 @@ SKEWED = WeightSet((1.0, 0.5, 0.25, 0.125), (0.4, 0.3, 0.2, 0.1))
     [RECIP, SKEWED, WeightSet((1.0, 2.0, 3.0), (0.0, 0.7, 0.3))],
     ids=["uniform", "skewed", "zero-prob"],
 )
-@pytest.mark.parametrize("size", [0, 1, 7, 100_000])
+@pytest.mark.parametrize("size", [0, 1, 7, 100_000, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 5])
 def test_draw_members_equals_choice(ws, size):
+    # sizes on and across the 2^16-draw block edges of the streamed draw
     rng, ref = substream(13, size), substream(13, size)
     drawn = ws.as_array().take(_draw_members(ws.probs, size, rng))
     expected = ref.choice(ws.as_array(), size=size, p=ws.probs)
     assert np.array_equal(drawn, expected)
+    # an odd-length draw of range 2 leaves a spare half-word in the generator
+    assert np.array_equal(rng.integers(0, 2, 3), ref.integers(0, 2, 3))
     assert rng.random() == ref.random()
 
 

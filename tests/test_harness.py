@@ -250,20 +250,26 @@ class TestParallelFrames:
         assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
 
     @_PINNED_BUILD
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_c9_csv_bytes_pinned(self, tmp_path, monkeypatch, workers):
-        """C9's BER and throughput CSVs, byte for byte at 1 and 2 frame workers.
-        The bytes depend on the BLAS build's summation order, so another build
-        skips this test rather than fail it."""
+    @pytest.mark.parametrize("workers, threads", [(1, 1), (1, 2), (2, 1)])
+    def test_c9_csv_bytes_pinned(self, tmp_path, monkeypatch, workers, threads):
+        """C9's BER and throughput CSVs, byte for byte on 1 frame worker with 1
+        and 2 decode threads and on 2 frame workers. The bytes depend on the
+        BLAS build's summation order, so another build skips this test rather
+        than fail it."""
         self.use_workers(monkeypatch, workers)
         cfg = ExperimentConfig(
             k_msg=200, snr_db=(15.0,), rates=(2.0, 3.0), trials=20, seed=99,
             variants=("min-degree", "min-degree+precode"), out=str(tmp_path / "c9.csv"),
         )
-        run_ber_sweep(cfg)
-        thr = run_throughput_sweep(
-            ExperimentConfig(k_msg=95, snr_db=(15.0,), trials=3, seed=5, max_trial_factor=1, target_ber=1e-2)
-        )
+        decoder._use_threads(threads)
+        try:
+            run_ber_sweep(cfg)
+            thr = run_throughput_sweep(
+                ExperimentConfig(k_msg=95, snr_db=(15.0,), trials=3, seed=5, max_trial_factor=1, target_ber=1e-2)
+            )
+            assert (decoder._THREADS.pool is not None) == (threads > 1)
+        finally:
+            decoder._use_threads(None)
         emit_csv(thr, tmp_path / "c9_throughput.csv")
         digests = {
             name: hashlib.sha256((tmp_path / f"c9_{name}.csv").read_bytes()).hexdigest()
@@ -689,6 +695,15 @@ class TestRngSubstreams:
 
 
 class TestCli:
+    def test_import_leaves_scipy_special_unloaded(self):
+        # the Q-function imports scipy.special when it is first evaluated
+        src = os.path.dirname(os.path.dirname(harness.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, afc.cli; print('scipy.special' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout == b"False\n"
+
     def test_weights_check_pass(self, capsys):
         rc = cli_main(["weights", "check", "--values", "1/2,1/3,1/5", "--degree", "3"])
         assert rc == 0
