@@ -36,8 +36,7 @@ from .core import (
     WeightAssignment,
     WeightSet,
     _DRAW_BLOCK,
-    _assign_weights,
-    _draw_members,
+    _assign_members,
     reciprocal_weights,
     weight_second_moment,
 )
@@ -138,6 +137,8 @@ def difference_projection(graph: FactorGraph, b: np.ndarray, flip_set: Sequence[
     if flips.min() < 0 or flips.max() >= graph.k:
         raise ValueError("flip index out of range")
     b = np.asarray(b, dtype=np.float64)
+    if b.shape != (graph.k,):
+        raise ValueError(f"b has shape {b.shape}, expected ({graph.k},)")
     mask = np.zeros(graph.k)
     mask[flips] = 1.0
     return graph.row_sums(graph.weights * b[graph.indices] * mask[graph.indices])
@@ -426,36 +427,28 @@ def _sample_symbol_sums(
     assignment: WeightAssignment,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    if assignment is WeightAssignment.BALANCED_PERMUTATION or (
-        assignment is WeightAssignment.WITHOUT_REPLACEMENT and d == ws.f
-    ):
-        # every row carries all f values; only the signs matter for the sum
-        signs = rng.integers(0, 2, size=(count, d)).astype(np.float64) * 2.0 - 1.0
-        return signs @ ws.as_array()
-    if assignment is WeightAssignment.WITH_REPLACEMENT:
-        # the encoder's member draw, then the same sign draw as below: sign
-        # bit b and member i pick the signed value at b * f + i, (2b - 1) * v_i.
-        # The signs are drawn a block of rows at a time, after every member:
-        # each draw of range 2 takes one 32-bit word and PCG64 keeps the spare
-        # half-word between calls, so the blocks give the bits of one draw,
-        # and each row is still one length-d sum
-        members = _draw_members(ws.probs, count * d, rng)
-        signed = np.concatenate((-ws.as_array(), ws.as_array()))
-        out = np.empty(count)
-        step = max(1, _DRAW_BLOCK // d)
-        for s in range(0, count, step):
-            e = min(s + step, count)
-            picks = rng.integers(0, 2, size=(e - s) * d)
-            picks *= ws.f
-            picks += members[s * d : e * d]
-            out[s:e] = signed.take(picks).reshape(e - s, d).sum(axis=1)
-        return out
-    if assignment is WeightAssignment.WITHOUT_REPLACEMENT and not ws.uniform:
+    # every member first, then a block of rows at a time, sign bit b and
+    # member i pick the signed value at b * f + i, (2b - 1) * v_i. A draw of
+    # range 2 takes one 32-bit word and PCG64 keeps the spare half-word
+    # between calls, so the blocks give the bits of one draw
+    if assignment is not WeightAssignment.WITH_REPLACEMENT and d == ws.f:
+        # each row holds the whole set and its sum ignores the order: no draw
+        members = np.broadcast_to(np.arange(d), (count, d))
+    elif assignment is WeightAssignment.WITHOUT_REPLACEMENT and not ws.uniform:
         # the encoder draws these row by row in Python, too slow for millions of rows
         raise ValueError("non-uniform draw without replacement is not supported here")
-    rows = _assign_weights(ws, np.broadcast_to(d, count), assignment, rng).reshape(count, d)
-    signs = rng.integers(0, 2, size=(count, d)).astype(np.float64) * 2.0 - 1.0
-    return (rows * signs).sum(axis=1)
+    else:
+        members = _assign_members(ws, np.broadcast_to(d, count), assignment, rng).reshape(count, d)
+    signed = np.concatenate((-ws.as_array(), ws.as_array()))
+    out = np.empty(count)
+    step = max(1, _DRAW_BLOCK // d)
+    for s in range(0, count, step):
+        e = min(s + step, count)
+        picks = rng.integers(0, 2, size=(e - s, d))
+        picks *= ws.f
+        picks += members[s:e]
+        out[s:e] = signed.take(picks).sum(axis=1)
+    return out
 
 
 def _check_shaping_parameters(delta: float, eps: float, n_samples: int, q_floor: float) -> None:
@@ -494,6 +487,10 @@ def gaussian_fit_check(
     concentrates the sum on 2^f atoms and measurably worsens the Gaussian
     fit. A (set, d, assignment) the encoder refuses to build raises
     InvalidConfigurationError, a ValueError, before any sampling.
+
+    Every assignment streams its 1M-sample chunks: the members by the
+    encoder's member draw, then sign bits and row sums a block of rows at a
+    time, so memory stays at one byte per member plus a few MB.
     """
     assignment.check_degrees([d], ws.f)
     _check_shaping_parameters(delta, eps, n_samples, q_floor)

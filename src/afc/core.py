@@ -63,12 +63,12 @@ class WeightSet:
             raise ValueError("weight set needs at least one member")
         if len(self.values) != len(self.probs):
             raise ValueError("values and probs length mismatch")
-        if any(v <= 0 for v in self.values):
-            raise ValueError("weights must be strictly positive")
+        if not all(0 < v < np.inf for v in self.values):
+            raise ValueError("weights must be finite and strictly positive")
         if len(set(self.values)) != len(self.values):
             raise ValueError("weights must be pairwise distinct")
-        if any(p < 0 for p in self.probs):
-            raise ValueError("selection probabilities must be non-negative")
+        if not all(0 <= p <= 1 for p in self.probs):
+            raise ValueError("selection probabilities must lie in [0, 1]")
         if abs(sum(self.probs) - 1.0) > _PROB_TOL:
             raise ValueError("selection probabilities must sum to 1")
         if self.exact is not None:
@@ -129,8 +129,8 @@ class DegreeDistribution:
     def __post_init__(self) -> None:
         if len(self.omega) < 1:
             raise ValueError("degree distribution needs at least degree 1")
-        if any(p < 0 for p in self.omega):
-            raise ValueError("degree probabilities must be non-negative")
+        if not all(0 <= p <= 1 for p in self.omega):
+            raise ValueError("degree probabilities must lie in [0, 1]")
         if abs(sum(self.omega) - 1.0) > _PROB_TOL:
             raise ValueError("degree probabilities must sum to 1")
 
@@ -350,34 +350,34 @@ def _draw_members(probs: Sequence[float], size: int, rng: np.random.Generator) -
     return idx
 
 
-def _assign_weights(
+def _assign_members(
     ws: WeightSet,
     degrees: np.ndarray,
     assignment: WeightAssignment,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Row weights for a with- or without-replacement policy, flat and
+    """Member indices for a with- or without-replacement policy, flat and
     aligned with ``degrees``, which the caller has checked against the set.
 
     Without replacement over a uniform set at one fixed degree, each row
-    takes the first d members of a uniformly random permutation, so at
-    d == f every row is a uniformly random ordering of the whole set. Over a
-    non-uniform set each row draws its members one after another by the
-    set's probabilities, so at d == f the likelier members tend to come first.
+    takes the first d members of a uniformly random permutation (drawn
+    ``_DRAW_BLOCK // f`` rows at a time, the same doubles as one draw), so
+    at d == f every row is a uniformly random ordering of the whole set.
+    Over a non-uniform set each row draws its members one after another by
+    the set's probabilities, so at d == f the likelier members tend to come
+    first.
     """
-    values = ws.as_array()
     if assignment is WeightAssignment.WITH_REPLACEMENT:
-        return values.take(_draw_members(ws.probs, int(degrees.sum()), rng))
-    d0 = int(degrees[0])
+        return _draw_members(ws.probs, int(degrees.sum()), rng)
+    f, d0 = ws.f, int(degrees[0])
     if ws.uniform and np.all(degrees == d0):
-        order = np.argsort(rng.random((len(degrees), ws.f)), axis=1)[:, :d0]
-        return values[order].ravel()
-    out = np.empty(int(degrees.sum()))
-    pos = 0
-    for d in degrees:
-        out[pos : pos + int(d)] = rng.choice(values, size=int(d), replace=False, p=ws.probs)
-        pos += int(d)
-    return out
+        out = np.empty((len(degrees), d0), dtype=np.min_scalar_type(f - 1))
+        step = max(1, _DRAW_BLOCK // f)
+        for s in range(0, len(out), step):
+            block = out[s : s + step]
+            block[:] = np.argsort(rng.random((len(block), f)), axis=1)[:, :d0]
+        return out.ravel()
+    return np.concatenate([rng.choice(f, size=int(d), replace=False, p=ws.probs) for d in degrees])
 
 
 def _assign_balanced(ws: WeightSet, k: int, indices: np.ndarray) -> np.ndarray:
@@ -446,7 +446,7 @@ def build_graph(
     if policy.weight_assignment is WeightAssignment.BALANCED_PERMUTATION:
         weights = _assign_balanced(ws, k, indices)
     else:
-        weights = _assign_weights(ws, degrees, policy.weight_assignment, rng)
+        weights = ws.as_array().take(_assign_members(ws, degrees, policy.weight_assignment, rng))
     indptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
     return FactorGraph(k=k, indptr=indptr, indices=indices, weights=weights)

@@ -197,8 +197,7 @@ class DecoderConfig:
             raise ValueError("max_iters must be >= 1")
         if not 0.0 <= self.damping < 1.0:
             raise ValueError("damping must lie in [0, 1)")
-        if not 0.0 < self.llr_clip <= _MAX_CLIP:
-            raise ValueError(f"llr_clip must lie in (0, {_MAX_CLIP}]")
+        _check_clip(self.llr_clip)
 
 
 @dataclass(frozen=True)
@@ -240,7 +239,8 @@ def check_to_var_messages(
     incoming[t] is the variable-to-check LLR on edge t. The outgoing LLR on
     edge t marginalizes the 2^(d-1) configurations of the other neighbors,
     weighting each by the Gaussian likelihood of u_i and the priors carried
-    by the incoming messages. Messages saturate at +/-clip. This is one
+    by the incoming messages. Messages saturate at +/-clip, which must lie in
+    (0, 300] as ``DecoderConfig.llr_clip`` must. This is one
     undamped update of the kernel BP runs on whole row groups.
     """
     w = np.asarray(weights, dtype=np.float64)
@@ -250,8 +250,9 @@ def check_to_var_messages(
     lam = _finite_vector(incoming, (d,), "incoming messages")
     u = _finite_vector([u_i], (1,), "observation")
     _check_sigma2(sigma2)
+    _check_clip(clip)
     row = _RowGroup(np.arange(d)[None, :], w[None, :], u, sigma2)
-    row.update(lam, 0.0, min(float(clip), _MAX_CLIP))
+    row.update(lam, 0.0, float(clip))
     return row.c_msg[0]
 
 
@@ -375,6 +376,11 @@ def _finite_vector(x, shape: tuple, name: str) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError(f"non-finite {name}")
     return x
+
+
+def _check_clip(clip: float) -> None:
+    if not 0.0 < clip <= _MAX_CLIP:
+        raise ValueError(f"the message clip must lie in (0, {_MAX_CLIP}], got {clip}")
 
 
 def _check_sigma2(sigma2: float) -> None:

@@ -269,6 +269,8 @@ def ldpc_encode(code: LdpcCode, msg: np.ndarray) -> np.ndarray:
 def syndrome(code: LdpcCode, bits: np.ndarray) -> np.ndarray:
     """Per-check parity of the given hard bits."""
     b = np.asarray(bits, dtype=np.int64)
+    if b.shape != (code.n,):
+        raise ValueError(f"bits have shape {b.shape}, expected ({code.n},)")
     return np.add.reduceat(b[code.edge_var], code.check_ptr[:-1]) % 2
 
 

@@ -202,6 +202,14 @@ class TestPairwiseErrorProb:
         with pytest.raises(ValueError):
             pairwise_error_prob(g, np.ones(10), [11], 0.5)
 
+    @pytest.mark.parametrize("shape", [(9,), (20,), (), (10, 1), (1, 10)])
+    def test_b_of_another_shape_is_refused(self, shape):
+        g = self.graph()
+        with pytest.raises(ValueError, match=r"expected \(10,\)"):
+            difference_projection(g, np.ones(shape), [1])
+        with pytest.raises(ValueError, match=r"expected \(10,\)"):
+            pairwise_error_prob(g, np.ones(shape), [1], 0.5)
+
     @pytest.mark.parametrize("sigma", [math.nan, math.inf, 0.0, -0.5])
     def test_sigma_must_be_finite_and_positive(self, sigma):
         with pytest.raises(ValueError, match="sigma must be finite and positive"):
@@ -259,19 +267,28 @@ def _choice_symbol_sums(ws, d, count, assignment, rng):
     return (rows * signs).sum(axis=1)
 
 
-def _whole_array_symbol_sums(ws, d, count, rng):
-    """The with-replacement sampler as one whole-array draw: every member of
-    the chunk by one cdf pass, then every sign bit by one call."""
-    cdf = np.cumsum(np.asarray(ws.probs, dtype=np.float64))
-    cdf /= cdf[-1]
-    u = rng.random(count * d)
-    members = np.zeros(count * d, dtype=np.min_scalar_type(len(cdf) - 1))
-    for c in cdf[:-1].tolist():
-        members += u >= c
+def _whole_array_symbol_sums(ws, d, count, rng, assignment=WeightAssignment.WITH_REPLACEMENT):
+    """The sampler as whole-array draws: every member of the chunk by one
+    call, then every sign bit by one call. At d == f without replacement and
+    for the balanced permutation, every row holds the whole set and one
+    ``signs @ values`` product gives the sums."""
+    values = ws.as_array()
+    if assignment is not WeightAssignment.WITH_REPLACEMENT and d == ws.f:
+        signs = rng.integers(0, 2, size=(count, d)).astype(np.float64) * 2.0 - 1.0
+        return signs @ values
+    if assignment is WeightAssignment.WITH_REPLACEMENT:
+        cdf = np.cumsum(np.asarray(ws.probs, dtype=np.float64))
+        cdf /= cdf[-1]
+        u = rng.random(count * d)
+        members = np.zeros(count * d, dtype=np.min_scalar_type(len(cdf) - 1))
+        for c in cdf[:-1].tolist():
+            members += u >= c
+    else:
+        members = np.argsort(rng.random((count, ws.f)), axis=1)[:, :d].ravel()
     picks = rng.integers(0, 2, size=count * d)
     picks *= ws.f
     picks += members
-    signed = np.concatenate((-ws.as_array(), ws.as_array()))
+    signed = np.concatenate((-values, values))
     return signed.take(picks).reshape(count, d).sum(axis=1)
 
 
@@ -696,37 +713,56 @@ class TestGaussianFit:
         assert report == expected
         assert rng.random() == ref_rng.random()
 
-    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_streamed_sums_equal_whole_array_draw(self, data):
         # the sampler draws members and signs in 2^16-draw blocks; the sums
         # and the generator's end state must be those of one whole-array draw
+        assignment = data.draw(st.sampled_from(WeightAssignment))
         f = data.draw(st.integers(1, 8))
-        if data.draw(st.booleans()):
+        if assignment is WeightAssignment.WITH_REPLACEMENT:
+            d = data.draw(st.integers(1, 12))
+        elif assignment is WeightAssignment.WITHOUT_REPLACEMENT:
+            d = data.draw(st.integers(1, f))
+        else:
+            d = f
+        # without replacement at d < f is served only over a uniform set
+        if (assignment is WeightAssignment.WITHOUT_REPLACEMENT and d < f) or data.draw(st.booleans()):
             probs = (1.0 / f,) * f
         else:
             mass = data.draw(st.lists(st.integers(0, 9), min_size=f, max_size=f).filter(any))
             probs = tuple(m / sum(mass) for m in mass)
         ws = WeightSet(tuple(RECIP.values[:f]), probs)
-        d = data.draw(st.integers(1, 12))
         rows = 2**16 // d  # rows per sign block
-        count = data.draw(
-            st.one_of(st.integers(1, 3 * rows + d), st.sampled_from([rows - 1, rows, rows + 1, 2 * rows + 1, 3 * rows]))
-        )
+        edges = [rows - 1, rows, rows + 1, 2 * rows + 1, 3 * rows, 2**16 // f + 1, 2 * (2**16 // f)]
+        count = data.draw(st.one_of(st.integers(1, 3 * rows + d), st.sampled_from(edges)))
         seed = data.draw(st.integers(0, 2**32 - 1))
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        sums = analysis._sample_symbol_sums(ws, d, count, WeightAssignment.WITH_REPLACEMENT, rng)
-        assert np.array_equal(sums, _whole_array_symbol_sums(ws, d, count, ref))
+        sums = analysis._sample_symbol_sums(ws, d, count, assignment, rng)
+        expected = _whole_array_symbol_sums(ws, d, count, ref, assignment)
+        if assignment is not WeightAssignment.WITH_REPLACEMENT and d == f:
+            # a row sum and the BLAS product add in different orders
+            assert np.all(np.abs(sums - expected) <= 4 * np.spacing(ws.as_array().sum()))
+        else:
+            assert np.array_equal(sums, expected)
         assert np.array_equal(rng.integers(0, 2, 3), ref.integers(0, 2, 3))
         assert rng.random() == ref.random()
 
-    def test_certification_memory_stays_small(self):
+    @pytest.mark.parametrize(
+        "d, assignment",
+        [
+            (8, WeightAssignment.WITH_REPLACEMENT),
+            (8, WeightAssignment.BALANCED_PERMUTATION),
+            (5, WeightAssignment.WITHOUT_REPLACEMENT),
+        ],
+    )
+    def test_certification_memory_stays_small(self, d, assignment):
         # the streamed draw holds one byte per member plus a few blocks;
-        # whole-array draws of a 500k-sample chunk took about 69 MB
+        # whole-array draws of a 500k-sample chunk took 61-69 MB
         rng = np.random.default_rng(0)
         tracemalloc.start()
         try:
-            gaussian_fit_check(RECIP, 8, 0.2, 1e-4, 500_000, rng)
+            gaussian_fit_check(RECIP, d, 0.2, 1e-4, 500_000, rng, assignment)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

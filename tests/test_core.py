@@ -73,6 +73,20 @@ class TestWeightSet:
         with pytest.raises(ValueError):
             WeightSet((0.5, 0.25), (1.1, -0.1))
 
+    @pytest.mark.parametrize(
+        "values, probs, message",
+        [
+            ((math.nan,), (1.0,), "finite and strictly positive"),
+            ((math.inf,), (1.0,), "finite and strictly positive"),
+            ((1.0, math.inf), (0.5, 0.5), "finite and strictly positive"),
+            ((1.0, 2.0), (math.nan, math.nan), r"lie in \[0, 1\]"),
+            ((1.0, 2.0), (math.inf, 0.0), r"lie in \[0, 1\]"),
+        ],
+    )
+    def test_rejects_non_finite(self, values, probs, message):
+        with pytest.raises(ValueError, match=message):
+            WeightSet(values, probs)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             WeightSet((), ())
@@ -102,6 +116,11 @@ class TestDegreeDistribution:
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
             DegreeDistribution((0.5, 0.4))
+
+    @pytest.mark.parametrize("omega", [(math.nan,), (0.5, math.nan), (math.inf,), (-math.inf, 1.0)])
+    def test_rejects_non_finite(self, omega):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            DegreeDistribution(omega)
 
 
 class TestSampleDegree:

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import sys
 import threading
 
@@ -594,6 +595,15 @@ class TestEntryPointInputs:
 def test_check_to_var_refuses_what_entry_points_refuse(u_i, sigma2, incoming):
     with pytest.raises(ValueError):
         check_to_var_messages(np.array([0.5, 1 / 3]), u_i, sigma2, np.array(incoming))
+
+
+@pytest.mark.parametrize("clip", [-5.0, 0.0, np.nan, np.inf, 300.5, 1e9])
+def test_clip_outside_the_config_range_is_refused(clip):
+    # check_to_var_messages and DecoderConfig.llr_clip share one check
+    with pytest.raises(ValueError, match=r"message clip must lie in \(0, 300.0\]") as refused:
+        check_to_var_messages(np.array([0.5, 1 / 3]), 0.4, 1.0, np.zeros(2), clip)
+    with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+        DecoderConfig(llr_clip=clip)
 
 
 def test_check_to_var_refuses_a_row_of_zero_likelihood():

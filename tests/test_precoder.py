@@ -403,6 +403,11 @@ class TestDecode:
             bits, converged = ldpc_decode(code, llr)
             assert converged and np.array_equal(bits, msg)
 
+    @pytest.mark.parametrize("shape", [(999,), (1001,), (1250,), (), (1000, 1)])
+    def test_syndrome_refuses_bits_of_another_shape(self, code, shape):
+        with pytest.raises(ValueError, match=r"expected \(1000,\)"):
+            syndrome(code, np.zeros(shape, dtype=np.uint8))
+
     def test_converged_implies_zero_syndrome(self, code):
         rng = substream(42, 4)
         for _ in range(50):
