@@ -102,8 +102,8 @@ def error_floor_bound(alpha: float) -> float:
     alpha is the average variable-node degree; exp(-alpha) is the chance a
     variable stays disconnected from every coded symbol.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
+    if not alpha >= 0:  # also refuses NaN
+        raise ValueError(f"alpha must be non-negative, got {alpha}")
     return math.exp(-alpha)
 
 
@@ -303,7 +303,7 @@ def check_nonzero_condition(
     if isinstance(weights, WeightSet):
         ws = weights
         d = ws.f if d is None else d
-        assignment.check_degrees([d], ws.f)
+        assignment.check_degrees([d], ws)
         if assignment is WeightAssignment.WITH_REPLACEMENT and d >= 2:
             w0 = _to_exact(ws.exact or ws.values)[0]
             return ConditionCheck(False, ((1, w0), (-1, w0)))
@@ -434,9 +434,6 @@ def _sample_symbol_sums(
     if assignment is not WeightAssignment.WITH_REPLACEMENT and d == ws.f:
         # each row holds the whole set and its sum ignores the order: no draw
         members = np.broadcast_to(np.arange(d), (count, d))
-    elif assignment is WeightAssignment.WITHOUT_REPLACEMENT and not ws.uniform:
-        # the encoder draws these row by row in Python, too slow for millions of rows
-        raise ValueError("non-uniform draw without replacement is not supported here")
     else:
         members = _assign_members(ws, np.broadcast_to(d, count), assignment, rng).reshape(count, d)
     signed = np.concatenate((-ws.as_array(), ws.as_array()))
@@ -488,11 +485,13 @@ def gaussian_fit_check(
     fit. A (set, d, assignment) the encoder refuses to build raises
     InvalidConfigurationError, a ValueError, before any sampling.
 
-    Every assignment streams its 1M-sample chunks: the members by the
-    encoder's member draw, then sign bits and row sums a block of rows at a
-    time, so memory stays at one byte per member plus a few MB.
+    Every (set, d, assignment) the encoder builds takes one streamed path:
+    each 1M-sample chunk draws its members by the encoder's member draw (the
+    first d of one exponential race without replacement, over any set), then
+    sign bits and row sums a block of rows at a time, so memory stays at one
+    byte per member plus a few MB.
     """
-    assignment.check_degrees([d], ws.f)
+    assignment.check_degrees([d], ws)
     _check_shaping_parameters(delta, eps, n_samples, q_floor)
     scale = math.sqrt(d * weight_second_moment(ws))
     q_refs = []
@@ -595,13 +594,14 @@ def search_weight_set(
     (distinct members per row); the Gaussian fit under the i.i.d. model the
     shaping analysis assumes. Deterministic for a fixed generator state.
     Refuses, before any proposal, a budget below one proposal, a degree the
-    set cannot serve without replacement and any parameter
-    ``gaussian_fit_check`` refuses. Raises WeightSearchError once the
-    proposal budget is exhausted.
+    set cannot serve without replacement, a size f whose 3^f coefficient
+    vectors exceed ``_ENUM_CAP`` and any parameter ``gaussian_fit_check``
+    refuses. Raises WeightSearchError once the proposal budget is exhausted.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1 proposal, got {budget}")
     WeightAssignment.WITHOUT_REPLACEMENT.check_degrees([d], f)  # also refuses f < 1
+    _check_size(f, 3)  # the zero-sum check enumerates 3^f vectors
     _check_shaping_parameters(delta, eps, n_samples, _Q_FLOOR)
     for attempt in range(budget):
         candidate = _propose(family, f, attempt, rng)

@@ -164,17 +164,20 @@ class WeightAssignment(Enum):
     # so no variable ends up observed only through the small set members.
     BALANCED_PERMUTATION = "balanced-permutation"
 
-    def check_degrees(self, degrees: Iterable[int], f: int) -> None:
-        """Refuse any row degree this assignment cannot fill from an f-member set.
-
-        With replacement serves every d >= 1, without replacement d <= f, and
-        the balanced permutation, which puts each member in every row, d == f.
-        """
+    def check_degrees(self, degrees: Iterable[int], ws: WeightSet | int) -> None:
+        """Refuse any row degree this assignment cannot fill from ``ws``, a set
+        or the size f of a set with no member of probability 0: with
+        replacement any d >= 1, without replacement d up to the members of
+        nonzero probability, and the balanced permutation, which puts each
+        member in every row, d == f."""
+        f, live = (ws.f, np.count_nonzero(ws.probs)) if isinstance(ws, WeightSet) else (ws, ws)
         for d in degrees:
             if d < 1:
                 raise InvalidConfigurationError(f"row degree must be >= 1, got {d}")
             if self is WeightAssignment.WITHOUT_REPLACEMENT and d > f:
                 raise InvalidConfigurationError(f"degree {d} exceeds weight set size {f} for draw without replacement")
+            if self is WeightAssignment.WITHOUT_REPLACEMENT and d > live:
+                raise InvalidConfigurationError(f"degree {d} exceeds the {live} members of nonzero probability")
             if self is WeightAssignment.BALANCED_PERMUTATION and d != f:
                 raise InvalidConfigurationError(f"{self.value} assignment needs degree == weight set size {f}, got {d}")
 
@@ -359,25 +362,29 @@ def _assign_members(
     """Member indices for a with- or without-replacement policy, flat and
     aligned with ``degrees``, which the caller has checked against the set.
 
-    Without replacement over a uniform set at one fixed degree, each row
-    takes the first d members of a uniformly random permutation (drawn
-    ``_DRAW_BLOCK // f`` rows at a time, the same doubles as one draw), so
-    at d == f every row is a uniformly random ordering of the whole set.
-    Over a non-uniform set each row draws its members one after another by
-    the set's probabilities, so at d == f the likelier members tend to come
-    first.
+    Without replacement, a row of degree d takes the first d members of one
+    exponential race over the set (Efraimidis & Spirakis): the smallest keys
+    -log(1 - U_i) / p_i, or U_i over a uniform set. That is the successive
+    draw of ``rng.choice(replace=False, p=...)``, so at d == f the likelier
+    members tend to come first. Keys are drawn ``_DRAW_BLOCK // f`` rows at a
+    time, the same doubles as one draw. A member of probability 0 is never
+    drawn.
     """
     if assignment is WeightAssignment.WITH_REPLACEMENT:
         return _draw_members(ws.probs, int(degrees.sum()), rng)
-    f, d0 = ws.f, int(degrees[0])
-    if ws.uniform and np.all(degrees == d0):
-        out = np.empty((len(degrees), d0), dtype=np.min_scalar_type(f - 1))
-        step = max(1, _DRAW_BLOCK // f)
-        for s in range(0, len(out), step):
-            block = out[s : s + step]
-            block[:] = np.argsort(rng.random((len(block), f)), axis=1)[:, :d0]
-        return out.ravel()
-    return np.concatenate([rng.choice(f, size=int(d), replace=False, p=ws.probs) for d in degrees])
+    f, probs = ws.f, np.asarray(ws.probs)
+    rates = np.where(probs > 0, -probs, np.nan)  # p = 0 gives a NaN key, which sorts after every other
+    out = np.empty(int(degrees.sum()), dtype=np.min_scalar_type(f - 1))
+    step, pos, cols = max(1, _DRAW_BLOCK // f), 0, np.arange(f)
+    for s in range(0, len(degrees), step):
+        rows = degrees[s : s + step]
+        keys = rng.random((len(rows), f))
+        if not ws.uniform:
+            keys = np.log1p(-keys) / rates
+        picks = np.argsort(keys, axis=1)[cols < rows[:, None]]
+        out[pos : pos + len(picks)] = picks
+        pos += len(picks)
+    return out
 
 
 def _assign_balanced(ws: WeightSet, k: int, indices: np.ndarray) -> np.ndarray:
@@ -437,7 +444,7 @@ def build_graph(
     if dist.max_degree > k:
         raise InvalidConfigurationError(f"max degree {dist.max_degree} exceeds k={k}")
     support = (d for d, p in enumerate(dist.omega, start=1) if p > 0)
-    policy.weight_assignment.check_degrees(support, ws.f)
+    policy.weight_assignment.check_degrees(support, ws)
     degrees = sample_degrees(dist, n_rows, rng)
     if policy.selection is Selection.MIN_DEGREE_FIRST:
         indices = _select_min_degree(k, degrees, rng)

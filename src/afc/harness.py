@@ -128,7 +128,7 @@ class ExperimentConfig:
         assignment = WeightAssignment(self.assignment)  # ValueError for an unknown name
         if self.degree > MAX_ENUM_DEGREE:
             raise ValueError(f"degree must be <= {MAX_ENUM_DEGREE}")
-        assignment.check_degrees([self.degree], resolve_weight_set(self.weight_set).f)
+        assignment.check_degrees([self.degree], resolve_weight_set(self.weight_set))
         if self.degree > self.k_msg and any(not v.endswith("+precode") for v in self.variants):
             raise ValueError(f"degree {self.degree} exceeds k_msg {self.k_msg}")
         if "min-degree+precode" in self.variants:
@@ -543,22 +543,15 @@ def parse_csv(path) -> list[SweepPoint]:
         header = fh.readline().strip().split(",")
         if tuple(header) != CSV_COLUMNS:
             raise ValueError(f"unexpected columns {header}")
+        casts = (float, int, float, float, float, int, int)  # SweepPoint's fields in CSV_COLUMNS order
         points = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             vals = line.strip().split(",")
-            points.append(
-                SweepPoint(
-                    snr_db=float(vals[0]),
-                    n_symbols=int(vals[1]),
-                    rate_bits_per_cu=float(vals[2]),
-                    ber=float(vals[3]),
-                    fer=float(vals[4]),
-                    trials=int(vals[5]),
-                    seed=int(vals[6]),
-                )
-            )
+            if len(vals) != len(CSV_COLUMNS):
+                raise ValueError(f"line {lineno} has {len(vals)} fields, expected {len(CSV_COLUMNS)}")
+            points.append(SweepPoint(*(cast(v) for cast, v in zip(casts, vals))))
     return points
 
 

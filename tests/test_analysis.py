@@ -122,6 +122,10 @@ class TestErrorFloor:
         with pytest.raises(ValueError):
             error_floor_bound(-0.1)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="alpha must be non-negative, got nan"):
+            error_floor_bound(float("nan"))
+
 
 class TestPairwiseErrorProb:
     def graph(self, seed=0, k=10, m=20):
@@ -271,7 +275,8 @@ def _whole_array_symbol_sums(ws, d, count, rng, assignment=WeightAssignment.WITH
     """The sampler as whole-array draws: every member of the chunk by one
     call, then every sign bit by one call. At d == f without replacement and
     for the balanced permutation, every row holds the whole set and one
-    ``signs @ values`` product gives the sums."""
+    ``signs @ values`` product gives the sums. Without replacement at d < f,
+    every row's keys come from one draw of the chunk."""
     values = ws.as_array()
     if assignment is not WeightAssignment.WITH_REPLACEMENT and d == ws.f:
         signs = rng.integers(0, 2, size=(count, d)).astype(np.float64) * 2.0 - 1.0
@@ -284,7 +289,13 @@ def _whole_array_symbol_sums(ws, d, count, rng, assignment=WeightAssignment.WITH
         for c in cdf[:-1].tolist():
             members += u >= c
     else:
-        members = np.argsort(rng.random((count, ws.f)), axis=1)[:, :d].ravel()
+        # the exponential race: each row's d smallest keys, the raw uniforms over a uniform set
+        keys = rng.random((count, ws.f))
+        if not ws.uniform:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                keys = -np.log1p(-keys) / np.asarray(ws.probs)
+            keys[:, np.asarray(ws.probs) == 0] = np.inf
+        members = np.argsort(keys, axis=1)[:, :d].ravel()
     picks = rng.integers(0, 2, size=count * d)
     picks *= ws.f
     picks += members
@@ -678,12 +689,15 @@ class TestGaussianFit:
         [
             (RECIP, 7, WeightAssignment.BALANCED_PERMUTATION),
             (RECIP, 9, WeightAssignment.WITHOUT_REPLACEMENT),
-            (WeightSet((1.0, 2.0, 3.0), (0.5, 0.25, 0.25)), 2, WeightAssignment.WITHOUT_REPLACEMENT),
+            (WeightSet((1.0, 2.0, 3.0), (0.0, 0.5, 0.5)), 3, WeightAssignment.WITHOUT_REPLACEMENT),
         ],
     )
     def test_unsupported_draws_rejected(self, ws, d, assignment):
-        with pytest.raises(ValueError):
-            gaussian_fit_check(ws, d, 0.2, 1e-4, 1000, np.random.default_rng(0), assignment)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidConfigurationError):
+            gaussian_fit_check(ws, d, 0.2, 1e-4, 1000, rng, assignment)
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("d", [0, -1])
     def test_degree_below_one_rejected(self, d):
@@ -720,18 +734,18 @@ class TestGaussianFit:
         # and the generator's end state must be those of one whole-array draw
         assignment = data.draw(st.sampled_from(WeightAssignment))
         f = data.draw(st.integers(1, 8))
-        if assignment is WeightAssignment.WITH_REPLACEMENT:
-            d = data.draw(st.integers(1, 12))
-        elif assignment is WeightAssignment.WITHOUT_REPLACEMENT:
-            d = data.draw(st.integers(1, f))
-        else:
-            d = f
-        # without replacement at d < f is served only over a uniform set
-        if (assignment is WeightAssignment.WITHOUT_REPLACEMENT and d < f) or data.draw(st.booleans()):
+        if data.draw(st.booleans()):
             probs = (1.0 / f,) * f
         else:
             mass = data.draw(st.lists(st.integers(0, 9), min_size=f, max_size=f).filter(any))
             probs = tuple(m / sum(mass) for m in mass)
+        if assignment is WeightAssignment.WITH_REPLACEMENT:
+            d = data.draw(st.integers(1, 12))
+        elif assignment is WeightAssignment.WITHOUT_REPLACEMENT:
+            # a member of probability 0 never fills a row
+            d = data.draw(st.integers(1, int(np.count_nonzero(probs))))
+        else:
+            d = f
         ws = WeightSet(tuple(RECIP.values[:f]), probs)
         rows = 2**16 // d  # rows per sign block
         edges = [rows - 1, rows, rows + 1, 2 * rows + 1, 3 * rows, 2**16 // f + 1, 2 * (2**16 // f)]
@@ -749,20 +763,21 @@ class TestGaussianFit:
         assert rng.random() == ref.random()
 
     @pytest.mark.parametrize(
-        "d, assignment",
+        "ws, d, assignment",
         [
-            (8, WeightAssignment.WITH_REPLACEMENT),
-            (8, WeightAssignment.BALANCED_PERMUTATION),
-            (5, WeightAssignment.WITHOUT_REPLACEMENT),
+            (RECIP, 8, WeightAssignment.WITH_REPLACEMENT),
+            (RECIP, 8, WeightAssignment.BALANCED_PERMUTATION),
+            (RECIP, 5, WeightAssignment.WITHOUT_REPLACEMENT),
+            (WeightSet((1.0, 0.5, 0.25, 0.125), (0.4, 0.3, 0.2, 0.1)), 3, WeightAssignment.WITHOUT_REPLACEMENT),
         ],
     )
-    def test_certification_memory_stays_small(self, d, assignment):
+    def test_certification_memory_stays_small(self, ws, d, assignment):
         # the streamed draw holds one byte per member plus a few blocks;
         # whole-array draws of a 500k-sample chunk took 61-69 MB
         rng = np.random.default_rng(0)
         tracemalloc.start()
         try:
-            gaussian_fit_check(RECIP, d, 0.2, 1e-4, 500_000, rng, assignment)
+            gaussian_fit_check(ws, d, 0.2, 1e-4, 500_000, rng, assignment)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -831,6 +846,9 @@ class TestSearch:
             (4, 4, float("nan"), "finite and positive"),
             (4, 5, 0.2, "degree 5 exceeds weight set size 4"),
             (4, 0, 0.2, "degree must be >= 1"),
+            # no zero-sum check can enumerate f >= 14, and a proposal of 800
+            # distinct random rationals (only 703 exist) never ends
+            (14, 3, 0.2, r"3\^14 vectors exceed the enumeration cap"),
         ],
     )
     def test_refused_before_any_proposal(self, f, d, delta, message):

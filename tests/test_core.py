@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from afc.core import (
     weight_second_moment,
     zero_sum_row_template,
 )
-from afc.core import _draw_members, _select_min_degree
+from afc.core import _assign_members, _draw_members, _select_min_degree
 from afc.rng import substream
 
 RECIP = reciprocal_prime_weights()
@@ -459,7 +460,7 @@ MIXED = DegreeDistribution((0.1, 0.2, 0.0, 0.2, 0.0, 0.0, 0.2, 0.3))
         (3, 10000, 3456, D8, "min-degree", "with-replacement",
          "3ed83227211adfabc4e7dee466861e70d07cb6f058206b04517c404531a16e52", 0.8042609068074374),
         (4, 1000, 700, MIXED, "min-degree", "without-replacement",
-         "ad8ad69a4493426d0a4fa8bfd1addec6b92e4e87fbc76751a26e5b6bb8f815fb", 0.4903740757809196),
+         "8830781ccf8dbd950bc7b0c7691d3f4dcb5901ef89c9698094747f201331da37", 0.49200392980843133),
         (5, 200, 400, MIXED, "uniform", "with-replacement",
          "9036d0a5e52a6446cecdcf6e53e81989d5c5e444ae3a015995033da85e535b9f", 0.4627684624838979),
         (6, 10000, 2000, D8, "uniform", "without-replacement",
@@ -503,3 +504,43 @@ def test_build_graph_skewed_with_replacement_fingerprint():
     digest = "142778f7603bc3590aeffd397e2ba72d753dd2e3fddf2822a2e37306f4788173"
     assert hashlib.sha256(g.indices.tobytes() + g.weights.tobytes()).hexdigest() == digest
     assert rng.random() == 0.9550212053290958
+
+
+def _plackett_luce(probs, tup):
+    """Probability that a successive draw without replacement gives ``tup`` in order."""
+    if len(set(tup)) < len(tup):
+        return 0.0
+    out, left = 1.0, 1.0
+    for i in tup:
+        out *= probs[i] / left
+        left -= probs[i]
+    return out
+
+
+@pytest.mark.parametrize(
+    "ws, d",
+    [(SKEWED, 3), (SKEWED, 4), (WeightSet((1.0, 2.0, 3.0, 4.0), (0.0, 0.6, 0.3, 0.1)), 3)],
+    ids=["skewed-3", "skewed-4", "zero-prob-3"],
+)
+def test_without_replacement_rows_follow_successive_draw_law(ws, d):
+    # every ordered d-tuple's frequency against its closed-form probability
+    rows = 200_000
+    members = _assign_members(ws, np.full(rows, d), WeightAssignment.WITHOUT_REPLACEMENT, substream(14, d))
+    codes = members.reshape(rows, d).astype(np.int64) @ ws.f ** np.arange(d - 1, -1, -1)
+    counts = np.bincount(codes, minlength=ws.f**d)
+    tuples = list(itertools.product(range(ws.f), repeat=d))  # in code order
+    expected = np.array([_plackett_luce(ws.probs, t) for t in tuples])
+    assert counts[expected == 0].sum() == 0  # no repeated or zero-probability member
+    live = expected > 0
+    assert stats.chisquare(counts[live], rows * expected[live]).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("dist", [DegreeDistribution.fixed(3), DegreeDistribution((0.5, 0.3, 0.2))])
+def test_without_replacement_degree_above_drawable_members_refused(dist):
+    # a member of probability 0 is never drawn, so it cannot fill a row
+    ws = WeightSet((1.0, 2.0, 3.0), (0.0, 0.7, 0.3))
+    rng = substream(14, 9)
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidConfigurationError, match="degree 3 exceeds the 2 members of nonzero probability"):
+        build_graph(100, 10, dist, ws, UNIFORM_PERM, rng)
+    assert rng.bit_generator.state == state

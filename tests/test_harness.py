@@ -58,6 +58,9 @@ def tiny_cfg(**kw):
     return ExperimentConfig(**base)
 
 
+HEADER = "snr_db,n_symbols,rate_bits_per_cu,ber,fer,trials,seed\n"
+
+
 class TestCsv:
     def test_header_only_for_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -82,10 +85,19 @@ class TestCsv:
         assert twin.exists()
         assert twin.read_text().startswith("# snr_db")
 
-    def test_rejects_foreign_columns(self, tmp_path):
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("a,b\n", "unexpected columns"),
+            (f"{HEADER}15.0,400,0.5,0.001,0.1,200,7\n15.0,400,0.5\n", "line 3 has 3 fields, expected 7"),
+            (f"{HEADER}15.0,400,0.5,0.001,0.1,200,7,9\n", "line 2 has 8 fields, expected 7"),
+        ],
+        ids=["foreign-columns", "short-row", "long-row"],
+    )
+    def test_rejects_foreign_columns(self, tmp_path, body, message):
         path = tmp_path / "bad.csv"
-        path.write_text("a,b\n")
-        with pytest.raises(ValueError):
+        path.write_text(body)
+        with pytest.raises(ValueError, match=message):
             parse_csv(path)
 
 
