@@ -36,9 +36,10 @@ from .core import (
     WeightAssignment,
     WeightSet,
     _DRAW_BLOCK,
+    DegreeDistribution,
     _assign_members,
     reciprocal_weights,
-    weight_second_moment,
+    row_power,
 )
 
 __all__ = [
@@ -293,7 +294,8 @@ def check_nonzero_condition(
     under ``assignment``) or an explicit row template of signed weights,
     possibly with repeats. A (set, d, assignment) the encoder refuses to
     build raises InvalidConfigurationError, a ValueError; with replacement
-    any d >= 2 fails, since a row may repeat a member. An empty template
+    any d >= 2 fails, since a row may repeat a member, and without it only
+    the members of nonzero probability are enumerated. An empty template
     raises ValueError. Returns the first violating signed assignment, in the
     lexicographic order of coefficient vectors over {-1, 0, 1}, when one exists.
     The check runs in exact rational arithmetic: weights must be Fractions,
@@ -307,7 +309,10 @@ def check_nonzero_condition(
         if assignment is WeightAssignment.WITH_REPLACEMENT and d >= 2:
             w0 = _to_exact(ws.exact or ws.values)[0]
             return ConditionCheck(False, ((1, w0), (-1, w0)))
-        return _enumerate_coefficients(ws.exact or ws.values, d)
+        values = ws.exact or ws.values
+        if assignment is WeightAssignment.WITHOUT_REPLACEMENT:  # a member of probability 0 is never drawn
+            values = [v for v, p in zip(values, ws.probs) if p > 0]
+        return _enumerate_coefficients(values, d)
 
     template = list(weights)
     if d is not None and d != len(template):
@@ -469,8 +474,10 @@ def gaussian_fit_check(
 ) -> ShapingReport:
     """Monte Carlo bin-by-bin Gaussian fit of the standardized symbol sum.
 
-    The signed sum is divided by sqrt(d * E[w^2]) before binning so its
-    variance is 1; bin i covers [(i-1)*delta, i*delta) and is compared to the
+    The signed sum is divided by the square root of its mean power before
+    binning so its variance is 1: ``row_power``, d * E[w^2] for i.i.d.
+    members and uniform sets, with each member's chance to be in the row
+    otherwise; bin i covers [(i-1)*delta, i*delta) and is compared to the
     Gaussian mass Q((i-1)*delta) - Q(i*delta). Bins are evaluated until the
     Gaussian mass drops below ``q_floor``, which must lie in (0, 0.5); more
     than 10000 such bins raise ValueError. A bin passes when
@@ -478,12 +485,14 @@ def gaussian_fit_check(
     when at least one bin was compared and every bin passes.
 
     The default draws each of the d signed weights i.i.d. from the set, the
-    same model under which the symbol variance d * E[w^2] is derived. Forcing
+    model of the shaping analysis. Forcing
     all d = f members into every row (without replacement at d = f, or the
     balanced permutation, which differs only in where the members go)
     concentrates the sum on 2^f atoms and measurably worsens the Gaussian
-    fit. A (set, d, assignment) the encoder refuses to build raises
-    InvalidConfigurationError, a ValueError, before any sampling.
+    fit. A (set, d, assignment) the encoder refuses to build, or whose
+    ``row_power`` is refused (a non-uniform set of more than 20 members
+    without replacement), raises InvalidConfigurationError, a ValueError,
+    before any sampling.
 
     Every (set, d, assignment) the encoder builds takes one streamed path:
     each 1M-sample chunk draws its members by the encoder's member draw (the
@@ -493,7 +502,7 @@ def gaussian_fit_check(
     """
     assignment.check_degrees([d], ws)
     _check_shaping_parameters(delta, eps, n_samples, q_floor)
-    scale = math.sqrt(d * weight_second_moment(ws))
+    scale = math.sqrt(row_power(DegreeDistribution.fixed(d), ws, assignment))
     q_refs = []
     for i in range(1, _MAX_BINS + 2):
         q_i = q_function((i - 1) * delta) - q_function(i * delta)

@@ -33,6 +33,7 @@ __all__ = [
     "build_graph",
     "encode",
     "weight_second_moment",
+    "row_power",
     "power_scale",
 ]
 
@@ -381,9 +382,11 @@ def _assign_members(
         keys = rng.random((len(rows), f))
         if not ws.uniform:
             keys = np.log1p(-keys) / rates
-        picks = np.argsort(keys, axis=1)[cols < rows[:, None]]
-        out[pos : pos + len(picks)] = picks
-        pos += len(picks)
+        order = np.argsort(keys, axis=1)
+        # rows of one degree read the leading columns as a slice, which is cheaper than a mask
+        picks = order[:, : rows[0]] if (rows == rows[0]).all() else order[cols < rows[:, None]]
+        out[pos : pos + picks.size].reshape(picks.shape)[:] = picks
+        pos += picks.size
     return out
 
 
@@ -472,6 +475,54 @@ def weight_second_moment(ws: WeightSet) -> float:
     return float(sum(p * v * v for p, v in zip(ws.probs, ws.values)))
 
 
-def power_scale(dist: DegreeDistribution, ws: WeightSet) -> float:
-    """Scale factor making coded symbols unit average power."""
-    return 1.0 / np.sqrt(dist.mu * weight_second_moment(ws))
+def _inclusion_probs(probs: Sequence[float], d: int) -> np.ndarray:
+    """Each member's chance to be among the first d of the exponential race.
+
+    q[S], the chance that the first |S| members drawn are the subset S (bit i
+    for member i), is the sum over live i in S of q[S - i] p_i / (1 - p(S - i)),
+    taken one subset size at a time up to d. The caller has checked that d
+    does not exceed the members of nonzero probability.
+    """
+    p = np.asarray(probs, dtype=np.float64) / sum(probs)
+    f = len(p)
+    if f > 20:  # the arrays below hold 2^f entries
+        raise InvalidConfigurationError(f"inclusion chances sum over 2^f subsets; f = {f} exceeds 20")
+    mass, size = np.zeros(1), np.zeros(1, dtype=np.int64)
+    for pi in p:  # subsets in binary order: mass and size of S + i follow those of S
+        mass, size = np.concatenate((mass, mass + pi)), np.concatenate((size, size + 1))
+    masks, q = np.arange(1 << f), np.zeros(1 << f)
+    q[0] = 1.0
+    for k in range(1, d + 1):
+        layer = masks[size == k]
+        for i in np.flatnonzero(p):
+            s = layer[layer >> i & 1 == 1]
+            t = s ^ (1 << i)
+            q[s] += q[t] * (p[i] / (1.0 - mass[t]))
+    first = masks[size == d]
+    return np.array([q[first[first >> i & 1 == 1]].sum() for i in range(f)])
+
+
+def row_power(dist: DegreeDistribution, ws: WeightSet, assignment: WeightAssignment) -> float:
+    """Mean sum of squared weights in a row: each member's w^2 times its mean
+    count in a row. That is mu * E[w^2] for i.i.d. members and for a uniform
+    set; the balanced permutation holds every member once, and a row drawn
+    without replacement over a non-uniform set holds member i with its
+    chance to be among the first d of the race, not d * p_i (refused past
+    20 members, since the chances sum over 2^f subsets)."""
+    if assignment is WeightAssignment.WITH_REPLACEMENT or ws.uniform:
+        return dist.mu * weight_second_moment(ws)
+    support = [(d, p) for d, p in enumerate(dist.omega, start=1) if p > 0]
+    assignment.check_degrees((d for d, _ in support), ws)
+    w2 = np.square(ws.as_array())
+    if assignment is WeightAssignment.BALANCED_PERMUTATION:
+        return float(w2.sum())
+    return float(sum(p * (_inclusion_probs(ws.probs, d) @ w2) for d, p in support))
+
+
+def power_scale(
+    dist: DegreeDistribution,
+    ws: WeightSet,
+    assignment: WeightAssignment = WeightAssignment.WITH_REPLACEMENT,
+) -> float:
+    """Scale factor making coded symbols of ``assignment`` unit average power."""
+    return 1.0 / np.sqrt(row_power(dist, ws, assignment))

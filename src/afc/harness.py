@@ -206,9 +206,9 @@ class _VariantSetup:
         self.variant = variant
         self.ws = resolve_weight_set(cfg.weight_set)
         self.dist = DegreeDistribution.fixed(cfg.degree)
-        self.scale = power_scale(self.dist, self.ws)
         selection = Selection.UNIFORM_RANDOM if variant == "uniform" else Selection.MIN_DEGREE_FIRST
         self.policy = EncoderPolicy(selection, WeightAssignment(cfg.assignment))
+        self.scale = power_scale(self.dist, self.ws, self.policy.weight_assignment)
         self.precoded = variant.endswith("+precode")
         if self.precoded:
             n, _ = _outer_code_size(cfg.k_msg, cfg.precode_rate)

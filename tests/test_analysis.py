@@ -42,12 +42,14 @@ from afc.core import (
     build_graph,
     reciprocal_prime_weights,
     reciprocal_weights,
+    row_power,
     zero_sum_row_template,
 )
 from afc.harness import ExperimentConfig
 from afc.rng import substream
 
 RECIP = reciprocal_prime_weights()
+SKEWED = WeightSet((1.0, 0.5, 0.25, 0.125), (0.4, 0.3, 0.2, 0.1))
 W = WeightAssignment
 
 
@@ -242,6 +244,13 @@ class TestNonzeroCondition:
         assert not res.ok
         (c1, w1), (c2, w2) = res.witness
         assert w1 == w2 and c1 == -c2
+
+    def test_zero_probability_member_left_out_without_replacement(self):
+        # -1 - 2 + 3 is no row: member 1 is never drawn, and 2, 3, 4 have no zero signed sum
+        ws = WeightSet((1.0, 2.0, 3.0, 4.0), (0.0, 0.4, 0.3, 0.3))
+        assert check_nonzero_condition(ws, 3) == ConditionCheck(True, None)
+        res = check_nonzero_condition(ws, 3, WeightAssignment.WITH_REPLACEMENT)
+        assert not res.ok
 
     def test_enumeration_cap(self):
         vals = tuple(1.0 / (i + 2) for i in range(14))
@@ -690,6 +699,8 @@ class TestGaussianFit:
             (RECIP, 7, WeightAssignment.BALANCED_PERMUTATION),
             (RECIP, 9, WeightAssignment.WITHOUT_REPLACEMENT),
             (WeightSet((1.0, 2.0, 3.0), (0.0, 0.5, 0.5)), 3, WeightAssignment.WITHOUT_REPLACEMENT),
+            # the row power of a non-uniform set sums over its 2^f subsets, up to f 20
+            (WeightSet(tuple(range(1, 22)), tuple(v / 231 for v in range(1, 22))), 3, WeightAssignment.WITHOUT_REPLACEMENT),
         ],
     )
     def test_unsupported_draws_rejected(self, ws, d, assignment):
@@ -698,6 +709,35 @@ class TestGaussianFit:
         with pytest.raises(InvalidConfigurationError):
             gaussian_fit_check(ws, d, 0.2, 1e-4, 1000, rng, assignment)
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize(
+        "ws, d, assignment",
+        [
+            (SKEWED, 3, WeightAssignment.WITHOUT_REPLACEMENT),
+            (SKEWED, 2, WeightAssignment.WITHOUT_REPLACEMENT),
+            (SKEWED, 4, WeightAssignment.BALANCED_PERMUTATION),
+            (SKEWED, 3, WeightAssignment.WITH_REPLACEMENT),
+            (RECIP, 5, WeightAssignment.WITHOUT_REPLACEMENT),
+        ],
+    )
+    def test_standardized_sums_have_unit_variance(self, ws, d, assignment):
+        # without replacement the likeliest members fill fewer than d * p_i of
+        # the rows, so d * E[w^2] overstates the skewed set's power (0.81 of it at d 3)
+        power = row_power(DegreeDistribution.fixed(d), ws, assignment)
+        sums = analysis._sample_symbol_sums(ws, d, 400_000, assignment, np.random.default_rng(3))
+        assert abs(np.var(sums / math.sqrt(power)) - 1.0) < 0.01
+
+    def test_skewed_set_standardized_by_its_row_power(self):
+        # a sum of 0.21 row-power units lands in the second bin; dividing by
+        # sqrt(3 * E[w^2]) instead would put it at 0.19, in the first
+        power = row_power(DegreeDistribution.fixed(3), SKEWED, WeightAssignment.WITHOUT_REPLACEMENT)
+
+        def sums(ws, d, count, assignment, rng):
+            return np.full(count, 0.21 * math.sqrt(power))
+
+        with mock.patch.object(analysis, "_sample_symbol_sums", sums):
+            report = gaussian_fit_check(SKEWED, 3, 0.2, 1e-4, 1000, None, WeightAssignment.WITHOUT_REPLACEMENT)
+        assert [b.p_hat for b in report.bins[:3]] == [0.0, 1.0, 0.0]
 
     @pytest.mark.parametrize("d", [0, -1])
     def test_degree_below_one_rejected(self, d):
@@ -715,7 +755,7 @@ class TestGaussianFit:
             # count * d crosses the 2^16-draw block edges, and d does not divide a block
             (RECIP, 3, 200_001),
             (RECIP, 7, 70_001),
-            (WeightSet((1.0, 0.5, 0.25, 0.125), (0.4, 0.3, 0.2, 0.1)), 5, 200_000),
+            (SKEWED, 5, 200_000),
         ],
     )
     def test_reports_equal_choice_sampler(self, ws, d, n_samples):
@@ -768,7 +808,7 @@ class TestGaussianFit:
             (RECIP, 8, WeightAssignment.WITH_REPLACEMENT),
             (RECIP, 8, WeightAssignment.BALANCED_PERMUTATION),
             (RECIP, 5, WeightAssignment.WITHOUT_REPLACEMENT),
-            (WeightSet((1.0, 0.5, 0.25, 0.125), (0.4, 0.3, 0.2, 0.1)), 3, WeightAssignment.WITHOUT_REPLACEMENT),
+            (SKEWED, 3, WeightAssignment.WITHOUT_REPLACEMENT),
         ],
     )
     def test_certification_memory_stays_small(self, ws, d, assignment):

@@ -23,11 +23,12 @@ from afc.core import (
     encode,
     power_scale,
     reciprocal_prime_weights,
+    row_power,
     sample_degrees,
     weight_second_moment,
     zero_sum_row_template,
 )
-from afc.core import _assign_members, _draw_members, _select_min_degree
+from afc.core import _assign_members, _draw_members, _inclusion_probs, _select_min_degree
 from afc.rng import substream
 
 RECIP = reciprocal_prime_weights()
@@ -533,6 +534,47 @@ def test_without_replacement_rows_follow_successive_draw_law(ws, d):
     assert counts[expected == 0].sum() == 0  # no repeated or zero-probability member
     live = expected > 0
     assert stats.chisquare(counts[live], rows * expected[live]).pvalue > 1e-3
+
+
+@pytest.mark.parametrize(
+    "probs", [SKEWED.probs, (0.0, 0.4, 0.3, 0.3), (0.05, 0.5, 0.0, 0.25, 0.2)], ids=["skewed", "zero", "five"]
+)
+def test_inclusion_probs_sum_successive_draw_law(probs):
+    # each member's chance to be in a row sums the closed form over the ordered d-tuples
+    f = len(probs)
+    for d in range(1, np.count_nonzero(probs) + 1):
+        expected = np.zeros(f)
+        for t in itertools.permutations(range(f), d):
+            expected[list(t)] += _plackett_luce(probs, t)
+        assert np.allclose(_inclusion_probs(probs, d), expected, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "dist, ws, assignment",
+    [
+        (DegreeDistribution((0.2, 0.3, 0.0, 0.5)), SKEWED, WeightAssignment.WITHOUT_REPLACEMENT),
+        (DegreeDistribution.fixed(4), SKEWED, WeightAssignment.BALANCED_PERMUTATION),
+        (DegreeDistribution((0.2, 0.3, 0.0, 0.5)), SKEWED, WeightAssignment.WITH_REPLACEMENT),
+        (D8, RECIP, WeightAssignment.BALANCED_PERMUTATION),
+    ],
+)
+def test_power_scale_gives_unit_power(dist, ws, assignment):
+    g = build_graph(2000, 100_000, dist, ws, EncoderPolicy(Selection.UNIFORM_RANDOM, assignment), substream(15, 1))
+    b = bits_to_bpsk(substream(15, 2).integers(0, 2, 2000))
+    assert abs(np.mean(np.square(encode(g, b) * power_scale(dist, ws, assignment))) - 1.0) < 0.01
+
+
+def test_row_power_of_uniform_set_is_the_iid_power():
+    # each member of a uniform set fills d / f of the rows; the value is the i.i.d. one, bit for bit
+    for assignment in WeightAssignment:
+        assert row_power(D8, RECIP, assignment) == D8.mu * weight_second_moment(RECIP)
+
+
+def test_row_power_refuses_huge_non_uniform_set():
+    vals = tuple(float(v) for v in range(1, 23))
+    ws = WeightSet(vals, tuple(v / sum(vals) for v in vals))
+    with pytest.raises(InvalidConfigurationError, match="f = 22 exceeds 20"):
+        power_scale(DegreeDistribution.fixed(3), ws, WeightAssignment.WITHOUT_REPLACEMENT)
 
 
 @pytest.mark.parametrize("dist", [DegreeDistribution.fixed(3), DegreeDistribution((0.5, 0.3, 0.2))])
