@@ -259,26 +259,23 @@ def sample_degrees(dist: DegreeDistribution, size: int, rng: np.random.Generator
 def _select_uniform(k: int, degrees: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Distinct uniform variable picks per row; flat array aligned with degrees.
 
-    Fast path for fixed degree: draw with replacement and redraw rows that
-    contain duplicates (conditioned distribution equals sampling without
-    replacement).
+    Sparse rows (d_max(d_max - 1) <= k/2) are drawn d_max wide with replacement
+    and keep their first d_r columns; a row that repeats a variable there is
+    redrawn whole, so it follows the without-replacement law. Denser rows take
+    the first d_r of a ``_race`` over the k variables: k < 2 d_max^2 keys a row.
     """
-    d0 = int(degrees[0])
-    if np.all(degrees == d0) and d0 * (d0 - 1) <= k // 2:
-        picks = rng.integers(0, k, size=(len(degrees), d0), dtype=np.int64)
-        while True:
-            srt = np.sort(picks, axis=1)
-            bad = np.nonzero((srt[:, 1:] == srt[:, :-1]).any(axis=1))[0]
-            if len(bad) == 0:
-                break
-            picks[bad] = rng.integers(0, k, size=(len(bad), d0), dtype=np.int64)
-        return picks.ravel()
-    out = np.empty(int(degrees.sum()), dtype=np.int64)
-    pos = 0
-    for d in degrees:
-        out[pos : pos + d] = rng.choice(k, size=int(d), replace=False)
-        pos += int(d)
-    return out
+    width = int(degrees.max())
+    if width * (width - 1) > k // 2:
+        return _race(k, degrees, rng).astype(np.int64)
+    cols = np.arange(width)
+    live = cols < degrees[:, None]
+    picks = rng.integers(0, k, size=(len(degrees), width), dtype=np.int64)
+    redo, block = np.arange(len(degrees)), picks
+    while len(redo):  # padded columns read as distinct negatives, so only live columns can repeat
+        srt = np.sort(np.where(live[redo], block, -1 - cols), axis=1)
+        redo = redo[(srt[:, 1:] == srt[:, :-1]).any(axis=1)]
+        block = picks[redo] = rng.integers(0, k, size=(len(redo), width), dtype=np.int64)
+    return _leading(picks, degrees).ravel()
 
 
 _UNIFORM_BLOCK = 4096
@@ -354,40 +351,43 @@ def _draw_members(probs: Sequence[float], size: int, rng: np.random.Generator) -
     return idx
 
 
-def _assign_members(
-    ws: WeightSet,
-    degrees: np.ndarray,
-    assignment: WeightAssignment,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Member indices for a with- or without-replacement policy, flat and
-    aligned with ``degrees``, which the caller has checked against the set.
+def _leading(table: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Row r's first ``degrees[r]`` entries: a slice when the rows share one degree, cheaper than a mask."""
+    if (degrees == degrees[0]).all():
+        return table[:, : degrees[0]]
+    return table[np.arange(table.shape[1]) < degrees[:, None]]
 
-    Without replacement, a row of degree d takes the first d members of one
-    exponential race over the set (Efraimidis & Spirakis): the smallest keys
-    -log(1 - U_i) / p_i, or U_i over a uniform set. That is the successive
-    draw of ``rng.choice(replace=False, p=...)``, so at d == f the likelier
-    members tend to come first. Keys are drawn ``_DRAW_BLOCK // f`` rows at a
-    time, the same doubles as one draw. A member of probability 0 is never
-    drawn.
-    """
-    if assignment is WeightAssignment.WITH_REPLACEMENT:
-        return _draw_members(ws.probs, int(degrees.sum()), rng)
-    f, probs = ws.f, np.asarray(ws.probs)
-    rates = np.where(probs > 0, -probs, np.nan)  # p = 0 gives a NaN key, which sorts after every other
-    out = np.empty(int(degrees.sum()), dtype=np.min_scalar_type(f - 1))
-    step, pos, cols = max(1, _DRAW_BLOCK // f), 0, np.arange(f)
+
+def _race(n: int, degrees: np.ndarray, rng: np.random.Generator, probs: np.ndarray | None = None) -> np.ndarray:
+    """Each row's first d_r of one exponential race over n candidates, flat
+    (Efraimidis & Spirakis): the smallest keys -log(1 - U_i) / p_i, or U_i if
+    ``probs`` is None. That is ``rng.choice``'s successive draw without
+    replacement; p_i = 0 gives a NaN key, which sorts last. Keys are drawn
+    ``_DRAW_BLOCK // n`` rows at a time, the same doubles as one draw."""
+    rates = None if probs is None else np.where(probs > 0, -probs, np.nan)
+    out = np.empty(int(degrees.sum()), dtype=np.min_scalar_type(n - 1))
+    step, pos = max(1, _DRAW_BLOCK // n), 0
     for s in range(0, len(degrees), step):
         rows = degrees[s : s + step]
-        keys = rng.random((len(rows), f))
-        if not ws.uniform:
+        keys = rng.random((len(rows), n))
+        if rates is not None:
             keys = np.log1p(-keys) / rates
-        order = np.argsort(keys, axis=1)
-        # rows of one degree read the leading columns as a slice, which is cheaper than a mask
-        picks = order[:, : rows[0]] if (rows == rows[0]).all() else order[cols < rows[:, None]]
+        picks = _leading(np.argsort(keys, axis=1), rows)
         out[pos : pos + picks.size].reshape(picks.shape)[:] = picks
         pos += picks.size
     return out
+
+
+def _assign_members(
+    ws: WeightSet, degrees: np.ndarray, assignment: WeightAssignment, rng: np.random.Generator
+) -> np.ndarray:
+    """Member indices for a with- or without-replacement policy, flat and
+    aligned with ``degrees``, which the caller has checked against the set.
+    Without replacement, row r takes the first d_r members of one race over
+    the set, so at d == f the likelier members tend to come first."""
+    if assignment is WeightAssignment.WITH_REPLACEMENT:
+        return _draw_members(ws.probs, int(degrees.sum()), rng)
+    return _race(ws.f, degrees, rng, None if ws.uniform else np.asarray(ws.probs))
 
 
 def _assign_balanced(ws: WeightSet, k: int, indices: np.ndarray) -> np.ndarray:
@@ -444,9 +444,9 @@ def build_graph(
     """Sample a weighted bipartite graph with n_rows check rows over k variables."""
     if n_rows < 1:
         raise InvalidConfigurationError("need at least one row")
-    if dist.max_degree > k:
-        raise InvalidConfigurationError(f"max degree {dist.max_degree} exceeds k={k}")
-    support = (d for d, p in enumerate(dist.omega, start=1) if p > 0)
+    support = [d for d, p in enumerate(dist.omega, start=1) if p > 0]
+    if support[-1] > k:
+        raise InvalidConfigurationError(f"max degree {support[-1]} exceeds k={k}")
     policy.weight_assignment.check_degrees(support, ws)
     degrees = sample_degrees(dist, n_rows, rng)
     if policy.selection is Selection.MIN_DEGREE_FIRST:

@@ -556,17 +556,21 @@ def parse_csv(path) -> list[SweepPoint]:
 
 
 def parse_config_file(path) -> dict:
-    """key = value lines; '#' comments; commas make tuples."""
+    """key = value lines; '#' comments; commas make tuples. A key may appear
+    once, in either its dashed or its underscored spelling."""
     out: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for number, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise ValueError(f"bad config line: {raw.rstrip()}")
             key, value = (s.strip() for s in line.split("=", 1))
-            out[key.replace("-", "_")] = value
+            key = key.replace("-", "_")
+            if key in out:
+                raise ValueError(f"config key {key!r} repeated on line {number}")
+            out[key] = value
     return out
 
 

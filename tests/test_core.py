@@ -28,7 +28,7 @@ from afc.core import (
     weight_second_moment,
     zero_sum_row_template,
 )
-from afc.core import _assign_members, _draw_members, _inclusion_probs, _select_min_degree
+from afc.core import _assign_members, _draw_members, _inclusion_probs, _select_min_degree, _select_uniform
 from afc.rng import substream
 
 RECIP = reciprocal_prime_weights()
@@ -163,6 +163,14 @@ class TestBuildGraph:
     def test_degree_exceeding_k_rejected(self):
         with pytest.raises(InvalidConfigurationError):
             build_graph(4, 10, D8, RECIP, MIN_DEG_PERM, substream(1, 4))
+
+    @pytest.mark.parametrize("policy", [MIN_DEG_PERM, UNIFORM_PERM], ids=["min-degree", "uniform"])
+    def test_degree_bound_reads_the_support(self, policy):
+        # degrees of probability 0 are never drawn, so only the support must fit in k
+        g = build_graph(2, 10, DegreeDistribution((1.0, 0.0, 0.0)), RECIP, policy, substream(1, 4))
+        assert g.row_degrees().tolist() == [1] * 10
+        with pytest.raises(InvalidConfigurationError, match="max degree 3 exceeds k=2"):
+            build_graph(2, 10, DegreeDistribution((0.5, 0.0, 0.5, 0.0)), RECIP, policy, substream(1, 4))
 
     def test_permutation_needs_full_set(self):
         pol = EncoderPolicy(Selection.MIN_DEGREE_FIRST, WeightAssignment.BALANCED_PERMUTATION)
@@ -463,7 +471,7 @@ MIXED = DegreeDistribution((0.1, 0.2, 0.0, 0.2, 0.0, 0.0, 0.2, 0.3))
         (4, 1000, 700, MIXED, "min-degree", "without-replacement",
          "8830781ccf8dbd950bc7b0c7691d3f4dcb5901ef89c9698094747f201331da37", 0.49200392980843133),
         (5, 200, 400, MIXED, "uniform", "with-replacement",
-         "9036d0a5e52a6446cecdcf6e53e81989d5c5e444ae3a015995033da85e535b9f", 0.4627684624838979),
+         "e7625bc231480c100b61f6e4460fa7be7f35e3cc81e7ee16325552e108bee343", 0.35479221509348013),
         (6, 10000, 2000, D8, "uniform", "without-replacement",
          "2e3c62bc5241f9079fa025bdfeb0919a0754a2df1787f0a46d98913d5468ae27", 0.6049538402291971),
     ],
@@ -502,9 +510,9 @@ def test_build_graph_skewed_with_replacement_fingerprint():
     rng = substream(11, 9)
     policy = EncoderPolicy(Selection.UNIFORM_RANDOM, WeightAssignment.WITH_REPLACEMENT)
     g = build_graph(500, 300, DegreeDistribution((0.2, 0.3, 0.0, 0.5)), SKEWED, policy, rng)
-    digest = "142778f7603bc3590aeffd397e2ba72d753dd2e3fddf2822a2e37306f4788173"
+    digest = "b3cb7d67220cfe47215edd8ea1ed8bcbd1c3007d062042fab2e59c33dfb927fa"
     assert hashlib.sha256(g.indices.tobytes() + g.weights.tobytes()).hexdigest() == digest
-    assert rng.random() == 0.9550212053290958
+    assert rng.random() == 0.9030378021396966
 
 
 def _plackett_luce(probs, tup):
@@ -534,6 +542,25 @@ def test_without_replacement_rows_follow_successive_draw_law(ws, d):
     assert counts[expected == 0].sum() == 0  # no repeated or zero-probability member
     live = expected > 0
     assert stats.chisquare(counts[live], rows * expected[live]).pvalue > 1e-3
+
+
+@pytest.mark.parametrize(
+    "k, law", [(12, (3,)), (12, (2, 3)), (6, (3,))], ids=["fixed-rejection", "mixed-rejection", "dense-race"]
+)
+def test_uniform_selection_follows_without_replacement_law(k, law):
+    # every ordered d-tuple of distinct variables is equally likely, whichever rule drew the row
+    rows = 120_000
+    degrees = substream(16, k, len(law)).choice(law, size=rows)
+    picks = _select_uniform(k, degrees, substream(17, k, len(law)))
+    assert len(picks) == degrees.sum()
+    row_degree = np.repeat(degrees, degrees)
+    for d in law:
+        tuples = picks[row_degree == d].reshape(-1, d)
+        srt = np.sort(tuples, axis=1)
+        assert not (srt[:, 1:] == srt[:, :-1]).any()  # no row repeats a variable
+        counts = np.bincount(tuples @ k ** np.arange(d - 1, -1, -1), minlength=k**d)
+        distinct = np.array([len(set(t)) == d for t in itertools.product(range(k), repeat=d)])
+        assert stats.chisquare(counts[distinct]).pvalue > 1e-3
 
 
 @pytest.mark.parametrize(

@@ -551,6 +551,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             parse_config_file(path)
 
+    @pytest.mark.parametrize("text", ["k-msg = 100\nk_msg = 200\n", "# two\nk_msg = 100\nk_msg = 100\n"])
+    def test_repeated_key(self, tmp_path, text, capsys):
+        # the dashed and underscored spellings name one key, which a file sets once
+        path = tmp_path / "cfg.txt"
+        path.write_text(text)
+        line = len(text.splitlines())
+        with pytest.raises(ValueError, match=f"config key 'k_msg' repeated on line {line}"):
+            parse_config_file(path)
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["ber-sweep", "--config", str(path), "--rates", "1.0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repeated on line {line}" in err and "Traceback" not in err
+
     def test_unknown_key(self):
         with pytest.raises(ValueError):
             config_from_mapping({"frobnicate": "1"})
